@@ -1,9 +1,9 @@
 """Process-wide metrics registry: counters, gauges and latency histograms.
 
 The serving stack (:mod:`repro.serving`) reports every operational signal —
-request counts and latencies, batcher queue depth and realized batch sizes,
-WAL append/fsync cost, checkpoint duration, per-replica utilisation, shard
-repair fan-out, cache hit rates — through one :class:`MetricsRegistry`.
+request counts and latencies, admission queue depth and write queue wait,
+WAL append/fsync cost, publish and checkpoint duration, shard repair
+fan-out, cache hit rates — through one :class:`MetricsRegistry`.
 The registry is deliberately small and dependency-free:
 
 * **Counters** are monotonic floats, optionally labelled
@@ -20,7 +20,7 @@ The registry is deliberately small and dependency-free:
   bounded memory regardless of traffic.
 
 Thread safety: every instrument guards its state with one lock; increments
-from replica worker threads and the event loop interleave safely.  Cost
+from the writer thread and the event loop interleave safely.  Cost
 discipline: a disabled registry (``MetricsRegistry(enabled=False)``) turns
 every instrument into a no-op, which is what the serving benchmark's
 instrumentation-overhead phase compares against.
@@ -301,9 +301,9 @@ class Histogram(_Instrument):
     def observe_many(self, values: Iterable[float], **labels: Any) -> None:
         """File a batch of values under one lock acquisition.
 
-        Hot paths that produce one observation per request (the batcher's
-        queue-wait tracking, for instance) amortise the lock and child
-        lookup across the whole batch instead of paying them per item.
+        Hot paths that produce one observation per item of a batch
+        amortise the lock and child lookup across the whole batch instead
+        of paying them per item.
         """
         if not self.enabled:
             return

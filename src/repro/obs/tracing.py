@@ -16,13 +16,13 @@ in :func:`span`::
 needs for free: each asyncio task sees its own activation (concurrent
 requests don't bleed into each other), and
 ``loop.run_in_executor(...)`` copies the calling context into the worker
-thread, so spans recorded inside a replica's thread land on the request's
-trace without any plumbing.
+thread, so spans recorded inside the writer's thread land on the
+request's trace without any plumbing.
 
-**Fan-out**: the micro-batcher coalesces many requests into one forward
-pass, so a single ``span("forward")`` must be billed to every member of
-the batch.  :func:`activate` therefore accepts multiple traces and the
-sink is a tuple; :func:`span` adds the elapsed time to each.
+**Fan-out**: when one unit of work serves several requests, a single
+``span("forward")`` must be billed to every one of them.  :func:`activate`
+therefore accepts multiple traces and the sink is a tuple; :func:`span`
+adds the elapsed time to each.
 
 **Cost discipline**: when nothing is activated (tracing disabled or an
 unsampled request), :func:`span` checks one ContextVar and yields — no
@@ -92,8 +92,8 @@ class Trace:
         return sum(self.spans.values())
 
     def spans_ms(self) -> dict[str, float]:
-        """Span timings in milliseconds, rounded for log output."""
-        return {name: round(seconds * 1e3, 3) for name, seconds in self.spans.items()}
+        """Span timings in milliseconds, rounded to 0.1 µs for log output."""
+        return {name: round(seconds * 1e3, 4) for name, seconds in self.spans.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Trace({self.trace_id}, spans={self.spans_ms()})"
@@ -114,10 +114,9 @@ def current_traces() -> tuple["Trace", ...]:
 def activate(*traces: "Trace") -> Iterator[tuple["Trace", ...]]:
     """Route :func:`span` timings to ``traces`` within this context.
 
-    Activations nest by replacement, not accumulation: the batcher's
-    worker-side ``activate(*batch_traces)`` supersedes whatever the event
-    loop had active, which is exactly the fan-out semantics a coalesced
-    batch needs.
+    Activations nest by replacement, not accumulation: a worker-side
+    ``activate(*traces)`` supersedes whatever the event loop had active,
+    which is exactly the fan-out semantics shared work needs.
     """
     token = _SINK.set(traces if traces else None)
     try:
@@ -147,7 +146,7 @@ def record_span(name: str, seconds: float) -> None:
             trace.add(name, seconds)
     profiler = _SPAN_PROFILER
     if profiler is not None:
-        # Replica worker threads record concurrently; OpProfiler itself is
+        # The writer thread records concurrently; OpProfiler itself is
         # single-threaded (training owns one per run), so serialise here.
         with _PROFILER_LOCK:
             profiler.record_forward(name, seconds, 0)

@@ -8,24 +8,27 @@ The serving layer turns a trained model into a deployable artefact:
 * :class:`OperatorStore` — one-file persistence of operators, weights and
   incremental neighbour state, so server restarts (and repeated sweeps)
   skip cold topology rebuilds entirely;
-* :class:`InferenceSession` — micro-batched queries plus the full online
+* :class:`InferenceSession` — batched queries plus the full online
   node lifecycle through scoped incremental topology repairs: feature
   updates, insertion, deletion (lazy tombstoning), compaction (physical
   shrink + id remap) and periodic cluster re-assignment; a churned session
   freezes back into a bundleable model with
-  :meth:`InferenceSession.to_frozen` and fans out to read replicas with
+  :meth:`InferenceSession.to_frozen` and forks with
   :meth:`InferenceSession.fork`;
+* :class:`ReadSnapshot` — one immutable generation of a session's outputs
+  (labels, logits, embeddings, alive mask); every read, in-process or over
+  HTTP, is validated and sliced by its :meth:`ReadSnapshot.answer`;
 * :class:`ShardedSession` — the same session over a k-means-partitioned
   node set: per-shard neighbour state with scoped repairs, mutations
   routed by a persisted shard map (``repro export --shards N``), and a
   rebalance on :meth:`InferenceSession.compact`; cross-shard answers are
   merged deterministically and stay bit-identical to the unsharded exact
   backend at every shard count;
-* :class:`ServingServer` (``repro.serving.server``) — a batched asyncio
-  HTTP/JSON front-end: a micro-batching request queue over a
-  :class:`SessionPool` of forked read replicas, a single-writer mutation
-  path that republishes after every write, and admission control with
-  graceful drain.  ``python -m repro.cli serve --bundle ...`` starts one;
+* :class:`ServingServer` (``repro.serving.server``) — an asyncio
+  HTTP/JSON front-end: reads answered inline from the snapshot a
+  :class:`SessionPool` last published, a single-writer mutation path that
+  validates payloads before journalling and republishes after every
+  write, and admission control with graceful drain.  ``python -m repro.cli serve --bundle ...`` starts one;
 * fault tolerance (``repro.serving.wal`` / ``repro.serving.faults``) — a
   checksummed, fsync'd :class:`WriteAheadLog` journals every mutation
   before it is applied, :meth:`SessionPool.recover` replays the journal
@@ -75,7 +78,7 @@ from repro.serving.server import (
     SessionPool,
     WriterQuarantinedError,
 )
-from repro.serving.session import InferenceSession, ShardedSession
+from repro.serving.session import InferenceSession, ReadSnapshot, ShardedSession
 from repro.serving.store import OperatorStore, pack_hypergraph, unpack_hypergraph
 from repro.serving.wal import (
     WAL_HEADER,
@@ -93,6 +96,7 @@ __all__ = [
     "InferenceSession",
     "MicroBatcher",
     "OperatorStore",
+    "ReadSnapshot",
     "ServerConfig",
     "ServerDrainingError",
     "ServerOverloadedError",

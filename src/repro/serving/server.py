@@ -1,63 +1,57 @@
-"""Batched asyncio HTTP serving front-end over :class:`InferenceSession`.
+"""Asyncio HTTP serving front-end over :class:`InferenceSession`.
 
 The in-process serving story (:class:`~repro.serving.FrozenModel` +
 :class:`~repro.serving.InferenceSession`) stops at a Python API; production
-traffic needs a process boundary.  This module provides it as three layers,
-mirroring the queue/worker split of distributed-GNN serving stacks:
+traffic needs a process boundary.  This module provides it as three layers:
 
-* :class:`SessionPool` — one **writer** session plus N forked **read
-  replicas** of a single frozen model.  PR 5's session isolation (private
-  plan, features, engine, cache and neighbour state per session) is what
-  makes replicas safe.  All mutations are serialised through the writer; a
-  *publish* then refreshes the writer's topology exactly once and fans the
-  refreshed state out to a brand-new replica set via
-  :meth:`InferenceSession.fork` — replicas inherit the cached forward, so a
-  swap costs no replica-side forward or k-NN work.  Durability is layered:
-  with a checkpoint path configured, every publish of a tombstone-free
-  writer persists the current state as a bundle through the (atomic-write)
-  :class:`~repro.serving.OperatorStore`; with a WAL path configured, every
-  mutation is additionally journalled and fsync'd **before** it is applied
+* :class:`SessionPool` — one **writer** session over a frozen model plus
+  the immutable :class:`~repro.serving.session.ReadSnapshot` it last
+  published.  All mutations are serialised through the writer; a *publish*
+  then refreshes the writer's topology exactly once and swaps in a new
+  snapshot (labels, logits, embeddings, alive mask, generation) atomically.
+  Reads never touch the writer, so they never wait for a write.
+  Durability is layered: with a checkpoint path configured, every publish
+  of a tombstone-free writer persists the current state as a bundle
+  through the (atomic-write) :class:`~repro.serving.OperatorStore`; with a
+  WAL path configured, every mutation is additionally journalled and
+  fsync'd **before** it is applied
   (:class:`~repro.serving.wal.WriteAheadLog`), so a crash *between*
   checkpoints loses nothing — :meth:`SessionPool.recover` replays the
   journal suffix on top of the last checkpoint and reconstructs the
-  pre-crash state bit-for-bit.  Failure containment: a writer that throws
-  mid-apply is **quarantined** — the pool degrades to read-only (writes
-  raise :class:`WriterQuarantinedError` → HTTP 503 + ``Retry-After``) while
-  the replicas keep serving the last published generation;
-* :class:`MicroBatcher` — a bounded asyncio request queue that coalesces
-  concurrent predict requests arriving within ``batch_window_ms`` into one
-  :meth:`InferenceSession.predict_batch` call on one replica.  Batching
-  amortises the per-request event-loop → worker-thread round-trip; a window
-  of ``0`` disables coalescing (every request is its own dispatch).
-  Admission control: once ``max_queue_depth`` requests are pending, further
-  requests are rejected immediately (HTTP 429) instead of growing the queue
-  without bound.  Every admitted request is guaranteed an answer: an
-  unexpected ``predict_batch`` failure resolves the whole batch with the
-  error (a structured 500, never a dropped connection), and dispatcher
-  shutdown fails still-queued futures instead of leaking them;
+  pre-crash state bit-for-bit.  Write payloads are validated (finite,
+  2-D, right column and row counts, non-empty, integer ids) before they
+  are journalled, so a bad request is refused with a 400 and never reaches
+  the WAL.  Failure containment: a writer that throws mid-apply is
+  **quarantined** — the pool degrades to read-only (writes raise
+  :class:`WriterQuarantinedError` → HTTP 503 + ``Retry-After``) while reads
+  keep serving the last published snapshot;
+* :class:`MicroBatcher` — admission control plus the read path.  Its
+  :meth:`~MicroBatcher.submit` answers a read inline on the event loop from
+  the current snapshot: no queue, batching window or executor hop.  Every
+  request (read or write) is admitted through it; once ``max_queue_depth``
+  admitted requests are still unanswered — in practice writes queued on the
+  single-writer lock — further requests are rejected immediately (HTTP 429);
 * :class:`ServingServer` — a dependency-free asyncio HTTP/1.1 (keep-alive)
-  front-end speaking JSON.  ``POST /predict`` is coalesced through the
-  batcher; ``POST /insert|update|delete|compact|reassign`` take the single
-  writer path and republish; both paths carry **per-request deadlines**
-  (``request_timeout_s`` / ``write_timeout_s``) answered with HTTP 504 on
-  expiry, so a wedged executor call can no longer block a connection
-  forever.  ``GET /healthz`` is a real state machine — ``ok`` /
-  ``degraded`` / ``draining`` plus WAL depth, queue depth and checkpoint
-  age, so a load balancer can drain a degraded node.  Shutdown drains: new
-  requests get 503, queued and in-flight batches finish, then the sockets
-  close.
+  front-end speaking JSON.  ``POST /predict`` is answered from the
+  snapshot; ``POST /insert|update|delete|compact|reassign`` take the
+  single writer path in a worker thread and republish, under a
+  per-request deadline (``write_timeout_s``) answered with HTTP 504 on
+  expiry.  Bodies over :data:`MAX_BODY_BYTES` are refused with 413 unread.
+  ``GET /healthz`` is a real state machine — ``ok`` / ``degraded`` /
+  ``draining`` plus WAL depth, queue depth and checkpoint age, so a load
+  balancer can drain a degraded node.  Shutdown drains: new requests get
+  503, admitted writes finish, then the sockets close.
 
 Responses are **bit-identical** to calling the underlying session directly:
-the server only ever slices the same cached forward a local
-``session.predict`` would.  Start one from the CLI::
+a session's ``predict`` slices the same kind of snapshot with the same
+code.  Start one from the CLI::
 
-    python -m repro.cli serve --bundle bundle.npz --replicas 2 --port 8100 \
+    python -m repro.cli serve --bundle bundle.npz --port 8100 \
         --checkpoint ckpt.npz --wal ckpt.wal
 
 or programmatically (see ``benchmarks/bench_serving.py``)::
 
-    server = ServingServer(FrozenModel.load("bundle.npz"),
-                           ServerConfig(port=0, batch_window_ms=2.0))
+    server = ServingServer(FrozenModel.load("bundle.npz"), ServerConfig(port=0))
     await server.start()
     ...
     await server.shutdown()
@@ -66,15 +60,16 @@ or programmatically (see ``benchmarks/bench_serving.py``)::
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import asynccontextmanager, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -93,13 +88,19 @@ from repro.obs.tracing import (
 )
 from repro.serving.faults import declare_fault_point, fault_point
 from repro.serving.frozen import FrozenModel
-from repro.serving.session import InferenceSession, ShardedSession
+from repro.serving.session import (
+    InferenceSession,
+    ReadSnapshot,
+    ShardedSession,
+    _node_index,
+)
 from repro.serving.wal import WALRecord, WriteAheadLog
 from repro.utils.logging import get_logger, log_event
 from repro.utils.profiling import OpProfiler
 from repro.utils.rng import as_rng
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "MicroBatcher",
     "ServerConfig",
     "ServerDrainingError",
@@ -109,11 +110,16 @@ __all__ = [
     "WriterQuarantinedError",
 ]
 
+#: Largest request body the server reads (16 MiB).  A request announcing a
+#: longer ``Content-Length`` is answered 413 and its body is never read.
+MAX_BODY_BYTES = 16 * 2**20
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -122,15 +128,14 @@ _REASONS = {
 
 declare_fault_point("pool.before_apply", "request journalled, writer untouched")
 declare_fault_point("pool.mid_apply", "writer mutated, generation not published")
-declare_fault_point("pool.before_publish", "start of refresh + replica fan-out")
+declare_fault_point("pool.before_publish", "start of refresh + snapshot publish")
 declare_fault_point("pool.after_publish", "new generation live, not checkpointed")
 declare_fault_point("pool.before_checkpoint", "snapshot built, not yet on disk")
 declare_fault_point("pool.after_checkpoint", "checkpoint durable, WAL not truncated")
-declare_fault_point("batcher.before_dispatch", "inside the predict worker thread")
 
 
 class ServerOverloadedError(Exception):
-    """The request queue is at ``max_queue_depth``; try again later (429)."""
+    """``max_queue_depth`` requests are unanswered; try again later (429)."""
 
 
 class ServerDrainingError(Exception):
@@ -154,17 +159,43 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _feature_list(features: Any) -> list:
+def _feature_list(
+    features: Any, n_features: int, dtype: np.dtype, *, rows: int | None = None
+) -> list:
     """``features`` as float64 nested lists (the WAL/replay wire format).
 
-    The float64 round-trip is exact: JSON serialises Python floats with
-    ``repr`` (shortest round-tripping form), so a journalled mutation
-    replays into bit-identical feature rows.
+    This is the one normalisation step every write payload passes before it
+    is journalled: the matrix must be numeric, 2-D, non-empty, have
+    ``n_features`` columns (and ``rows`` rows when given) and be finite in
+    the serving ``dtype`` — anything else raises
+    :class:`~repro.errors.ConfigurationError` (a 400), so it can neither
+    poison the journal nor quarantine the writer.  The float64 round-trip is
+    exact: JSON serialises Python floats with ``repr`` (shortest
+    round-tripping form), so a journalled mutation replays into
+    bit-identical feature rows.
     """
     try:
         matrix = np.asarray(features, dtype=resolve_dtype("float64"))
     except (TypeError, ValueError) as error:
         raise ConfigurationError(f"features must be a numeric matrix: {error}") from error
+    if matrix.ndim != 2:
+        raise ConfigurationError(
+            f"features must be a 2-D matrix, got shape {matrix.shape}"
+        )
+    if matrix.shape[0] == 0:
+        raise ConfigurationError("features must hold at least one row")
+    if matrix.shape[1] != n_features:
+        raise ConfigurationError(
+            f"features must have {n_features} columns, got {matrix.shape[1]}"
+        )
+    if rows is not None and matrix.shape[0] != rows:
+        raise ConfigurationError(
+            f"features must have one row per node ({rows}), got {matrix.shape[0]}"
+        )
+    if not np.isfinite(matrix.astype(dtype, copy=False)).all():
+        raise ConfigurationError(
+            f"features must be finite in {np.dtype(dtype).name} (no NaN or inf)"
+        )
     return matrix.tolist()
 
 
@@ -172,38 +203,30 @@ def _feature_list(features: Any) -> list:
 class ServerConfig:
     """Tunables of the serving front-end.
 
-    ``batch_window_ms`` is the micro-batching window: the first queued
-    predict request opens a batch, requests arriving within the window join
-    it (up to ``max_batch_size``), and the whole batch is answered from one
-    cached forward by one replica.  ``0`` disables coalescing.
-    ``max_queue_depth`` bounds the number of queued-but-unanswered predict
-    requests; beyond it the server sheds load with HTTP 429.  ``replicas``
-    sets the read-replica count (the writer session is separate);
-    ``drain_timeout_s`` caps how long shutdown waits for in-flight work.
+    ``max_queue_depth`` bounds the number of admitted-but-unanswered
+    requests (reads are answered inline, so in practice: writes queued on
+    the single-writer lock); beyond it the server sheds load with HTTP 429.
+    ``drain_timeout_s`` caps how long shutdown waits for admitted writes.
 
     Fault tolerance: ``checkpoint_path`` persists every tombstone-free
     published generation as an atomic warm-start bundle — and when a bundle
     already exists there at startup, the server restarts *from it* instead
     of the cold bundle.  ``wal_path`` journals every mutation (fsync'd
     before apply, unless ``wal_fsync=False``) so recovery replays the suffix
-    since the last checkpoint.  ``request_timeout_s`` / ``write_timeout_s``
-    are per-request deadlines answered with HTTP 504 (``None`` disables);
-    an expired *write* additionally quarantines the pool, because the
-    wedged writer thread's state can no longer be trusted.
+    since the last checkpoint.  ``write_timeout_s`` is the per-write
+    deadline answered with HTTP 504 (``None`` disables); an expired write
+    additionally quarantines the pool, because the wedged writer thread's
+    state can no longer be trusted.
     """
 
     host: str = "127.0.0.1"
     port: int = 8100
-    replicas: int = 2
-    batch_window_ms: float = 2.0
-    max_batch_size: int = 64
     max_queue_depth: int = 1024
     drain_timeout_s: float = 10.0
     cluster_assignment: str = "nearest"
     checkpoint_path: str | Path | None = None
     wal_path: str | Path | None = None
     wal_fsync: bool = True
-    request_timeout_s: float | None = 30.0
     write_timeout_s: float | None = 120.0
     shards: int | None = None
     refresh_workers: int | None = None
@@ -218,30 +241,20 @@ class ServerConfig:
     profile: bool = False
 
     def __post_init__(self) -> None:
-        if self.replicas < 1:
-            raise ConfigurationError(f"replicas must be >= 1, got {self.replicas}")
         if self.shards is not None and self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
         if self.refresh_workers is not None and self.refresh_workers < 1:
             raise ConfigurationError(
                 f"refresh_workers must be >= 1, got {self.refresh_workers}"
             )
-        if self.batch_window_ms < 0:
-            raise ConfigurationError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
-        if self.max_batch_size < 1:
-            raise ConfigurationError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
         if self.max_queue_depth < 1:
             raise ConfigurationError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
             )
-        for name in ("request_timeout_s", "write_timeout_s"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigurationError(f"{name} must be > 0 or None, got {value}")
+        if self.write_timeout_s is not None and self.write_timeout_s <= 0:
+            raise ConfigurationError(
+                f"write_timeout_s must be > 0 or None, got {self.write_timeout_s}"
+            )
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ConfigurationError(
                 f"trace_sample_rate must be in [0, 1], got {self.trace_sample_rate}"
@@ -252,32 +265,20 @@ class ServerConfig:
             )
 
 
-class _Replica:
-    """One read session plus the lock serialising access to it."""
-
-    __slots__ = ("session", "lock", "served", "index")
-
-    def __init__(self, session: InferenceSession, index: int = 0) -> None:
-        self.session = session
-        self.lock = asyncio.Lock()
-        self.served = 0
-        self.index = index
-
-
 @guard_attrs(
     "_lock",
-    "_generation", "_checkpoints", "_read_only", "_failure", "_recovered",
-    "_last_checkpoint_time", "_last_seq", "_replicas", "_counter",
-    "_pending_records", "_recovering",
+    "_generation", "_snapshot", "_checkpoints", "_read_only", "_failure",
+    "_recovered", "_last_checkpoint_time", "_last_seq", "_pending_records",
+    "_recovering",
 )
 class SessionPool:
-    """A writer session and N read replicas over one frozen model.
+    """A writer session and the read snapshot it last published.
 
-    Reads round-robin over the replicas (preferring an idle one); writes are
-    applied to the writer only, then :meth:`publish` refreshes the writer's
-    topology once and swaps in a freshly forked replica set.  In-flight read
-    batches keep their pre-swap replica until they finish — readers always
-    serve a complete, immutable generation, never a half-mutated one.
+    Writes are applied to the writer only, then :meth:`publish` refreshes
+    the writer's topology once and swaps in a new immutable
+    :class:`~repro.serving.session.ReadSnapshot`.  A reader holding the
+    previous snapshot keeps a complete, unchanging generation — readers
+    never see a half-mutated state, and never wait for the writer.
 
     With ``wal_path`` set, every write is journalled and fsync'd **before**
     the writer applies it; :meth:`recover` replays the journal suffix (its
@@ -286,9 +287,9 @@ class SessionPool:
     recovered pool serves predictions bit-identical to one that never
     crashed.  A write that throws past validation **quarantines** the
     writer: :attr:`read_only` flips, further writes raise
-    :class:`WriterQuarantinedError`, and the replicas keep serving the last
-    published generation — a failed apply never leaks a half-mutated state
-    to readers, because publishing is always the *last* step of an apply.
+    :class:`WriterQuarantinedError`, and reads keep serving the last
+    published snapshot — a failed apply never leaks a half-mutated state to
+    readers, because publishing is always the *last* step of an apply.
     """
 
     #: Ops a WAL record may carry (the full write surface of the pool).
@@ -298,7 +299,6 @@ class SessionPool:
         self,
         frozen: FrozenModel,
         *,
-        replicas: int = 2,
         cluster_assignment: str = "nearest",
         checkpoint_path: str | Path | None = None,
         wal_path: str | Path | None = None,
@@ -306,15 +306,11 @@ class SessionPool:
         shards: int | None = None,
         refresh_workers: int | None = None,
     ) -> None:
-        if replicas < 1:
-            raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
-        self.n_replicas = int(replicas)
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         # A pool is sharded when asked explicitly (``shards=``) or when the
         # bundle itself is — a persisted shard map or a restored sharded
-        # backend.  Either way the whole fleet (writer + forks) is sharded;
-        # recovery and checkpointing are inherited unchanged because
-        # ShardedSession is a drop-in InferenceSession.
+        # backend.  Recovery and checkpointing are inherited unchanged
+        # because ShardedSession is a drop-in InferenceSession.
         sharded = (
             shards is not None
             or frozen.meta.get("shard_map") is not None
@@ -330,11 +326,13 @@ class SessionPool:
         else:
             self.writer = InferenceSession(frozen, cluster_assignment=cluster_assignment)
         # Mutable pool state lives behind this lock: mutations run in
-        # executor threads while the event loop reads telemetry, so every
-        # access goes through a locked property/method (enforced by lint
-        # rule RL006 and, under REPRO_SANITIZE=locks, at runtime).
+        # executor threads while the event loop reads the snapshot and
+        # telemetry, so every access goes through a locked property/method
+        # (enforced by lint rule RL006 and, under REPRO_SANITIZE=locks, at
+        # runtime).
         self._lock = threading.Lock()
         self._generation = 0
+        self._snapshot: ReadSnapshot | None = None
         self._checkpoints = 0
         self._read_only = False
         self._failure: str | None = None
@@ -359,16 +357,8 @@ class SessionPool:
             "Mutations applied by the writer, including WAL replay",
             ("op",),
         )
-        self._metric_acquires = registry.counter(
-            "repro_replica_acquire_total", "Read-replica borrow count", ("replica",)
-        )
-        self._metric_busy = registry.counter(
-            "repro_replica_busy_seconds_total",
-            "Seconds each read replica spent borrowed",
-            ("replica",),
-        )
         self._metric_publish = registry.histogram(
-            "repro_publish_seconds", "Replica fan-out latency per publish"
+            "repro_publish_seconds", "Read-snapshot build + swap latency per publish"
         )
         self._metric_checkpoint = registry.histogram(
             "repro_checkpoint_seconds", "Checkpoint snapshot + persist latency"
@@ -376,14 +366,12 @@ class SessionPool:
         self._metric_checkpoints = registry.counter(
             "repro_checkpoints_total", "Checkpoints persisted"
         )
-        self._counter = 0
-        self._replicas: list[_Replica] = []
         self.publish()
 
     # -- locked state accessors ---------------------------------------- #
     @property
     def generation(self) -> int:
-        """Monotonic count of published replica generations."""
+        """Monotonic count of published generations."""
         with self._lock:
             return self._generation
 
@@ -423,52 +411,16 @@ class SessionPool:
         with self._lock:
             return self._last_seq
 
-    def replicas(self) -> "list[_Replica]":
-        """Snapshot of the live replica set (telemetry and tests)."""
-        with self._lock:
-            return list(self._replicas)
-
     # -- read path ----------------------------------------------------- #
-    def _pick(self) -> _Replica:
-        with self._lock:
-            replicas = self._replicas
-            start = self._counter
-            for offset in range(len(replicas)):
-                index = (start + offset) % len(replicas)
-                replica = replicas[index]
-                if not replica.lock.locked():
-                    # Advance the cursor *past the replica actually chosen*
-                    # — advancing by one while handing out start+offset
-                    # lands the next request on an already-borrowed replica
-                    # and starves the ones behind it under sustained load.
-                    self._counter = (index + 1) % len(replicas)
-                    return replica
-            self._counter = (start + 1) % len(replicas)
-            return replicas[start % len(replicas)]
+    def acquire(self) -> ReadSnapshot:
+        """The current published snapshot; never waits for the writer.
 
-    @asynccontextmanager
-    async def acquire(self):
-        """Borrow one read replica (round-robin, preferring an idle one).
-
-        The lock is released in a ``finally`` so a raising request handler
-        (or a cancellation landing inside the body) can never leave the
-        replica permanently busy — a leaked lock would silently shrink the
-        read fleet one failure at a time.
+        The snapshot is immutable and carries the generation it belongs to,
+        so a caller may keep slicing it while later publishes swap newer
+        ones in.
         """
-        replica = self._pick()
-        wait_start = time.perf_counter()
-        await replica.lock.acquire()
-        busy_start = time.perf_counter()
-        record_span("replica_acquire", busy_start - wait_start)
-        try:
-            replica.served += 1
-            self._metric_acquires.inc(replica=str(replica.index))
-            yield replica.session
-        finally:
-            self._metric_busy.inc(
-                time.perf_counter() - busy_start, replica=str(replica.index)
-            )
-            replica.lock.release()
+        with self._lock:
+            return self._snapshot
 
     # -- failure containment ------------------------------------------- #
     @property
@@ -492,31 +444,28 @@ class SessionPool:
 
     # -- write path ---------------------------------------------------- #
     def publish(self) -> None:
-        """Refresh the writer once and fan its state out to new replicas.
+        """Refresh the writer once and swap in its new read snapshot.
 
         The writer's (single) scoped refresh + forward happens here; the
-        forked replicas inherit the refreshed operators, features and the
-        cached forward, so the fan-out itself performs no further topology
-        or forward work.  When a checkpoint path is configured and the
-        writer carries no tombstones, the published generation is also
-        persisted as a warm-start bundle (atomically — replicas or restarted
-        servers can never observe a torn archive), and the WAL — whose
-        records the checkpoint now subsumes — is truncated.
+        snapshot is built from that forward (labels computed once) and
+        swapped in atomically together with the generation count.  When a
+        checkpoint path is configured and the writer carries no tombstones,
+        the published generation is also persisted as a warm-start bundle
+        (atomically — restarted servers can never observe a torn archive),
+        and the WAL — whose records the checkpoint now subsumes — is
+        truncated.
         """
         fault_point("pool.before_publish")
-        self.writer.predict()  # one refresh + forward for the whole fleet
-        fanout_start = time.perf_counter()
-        replicas = [
-            _Replica(self.writer.fork(seed_cache=False), index)
-            for index in range(self.n_replicas)
-        ]
-        fanout = time.perf_counter() - fanout_start
-        record_span("publish", fanout)
-        self._metric_publish.observe(fanout)
+        self.writer.predict()  # the refresh + forward of this generation
+        start = time.perf_counter()
+        snapshot = self.writer.read_snapshot()
         with self._lock:
-            self._replicas = replicas
             self._generation += 1
+            self._snapshot = dataclasses.replace(snapshot, generation=self._generation)
             skip_checkpoint = self._recovering or bool(self._pending_records)
+        elapsed = time.perf_counter() - start
+        record_span("publish", elapsed)
+        self._metric_publish.observe(elapsed)
         fault_point("pool.after_publish")
         if not skip_checkpoint:
             self._checkpoint()
@@ -541,8 +490,8 @@ class SessionPool:
         if self.wal is not None:
             self.wal.truncate()
 
-    def _submit(self, op: str, payload: dict[str, Any]) -> dict[str, Any]:
-        """Journal one mutation (fsync'd), then apply it.
+    def ensure_writable(self) -> None:
+        """Refuse writes the pool cannot take right now.
 
         A quarantined pool raises :class:`WriterQuarantinedError`; a pool
         with unreplayed WAL records raises
@@ -550,18 +499,29 @@ class SessionPool:
         runs.
         """
         with self._lock:
-            if self._read_only:
-                raise WriterQuarantinedError(
-                    f"writer is quarantined ({self._failure}); the pool "
-                    f"serves reads only — restart the server to recover "
-                    f"from checkpoint + WAL"
-                )
-            if self._pending_records:
-                raise ConfigurationError(
-                    f"the WAL at {self.wal.path} holds "
-                    f"{len(self._pending_records)} unreplayed records; call "
-                    f"recover() before writing"
-                )
+            self._ensure_writable_locked()
+
+    def _ensure_writable_locked(self) -> None:
+        if self._read_only:
+            raise WriterQuarantinedError(
+                f"writer is quarantined ({self._failure}); the pool "
+                f"serves reads only — restart the server to recover "
+                f"from checkpoint + WAL"
+            )
+        if self._pending_records:
+            raise ConfigurationError(
+                f"the WAL at {self.wal.path} holds "
+                f"{len(self._pending_records)} unreplayed records; call "
+                f"recover() before writing"
+            )
+
+    def _submit(self, op: str, payload: dict[str, Any]) -> dict[str, Any]:
+        """Journal one mutation (fsync'd), then apply it.
+
+        Raises what :meth:`ensure_writable` raises.
+        """
+        with self._lock:
+            self._ensure_writable_locked()
             seq = self._last_seq + 1
         if self.wal is not None:
             self.wal.append(op, payload, seq)
@@ -675,16 +635,40 @@ class SessionPool:
             self._checkpoint()
         return replayed
 
-    def insert(self, features: Any) -> dict[str, Any]:
-        return self._submit("insert", {"features": _feature_list(features)})
-
-    def update(self, nodes: Any, features: Any) -> dict[str, Any]:
-        return self._submit(
-            "update", {"nodes": _jsonable(nodes), "features": _feature_list(features)}
+    def _checked_features(self, features: Any, *, rows: int | None = None) -> list:
+        writer = self.writer
+        return _feature_list(
+            features, writer.features.shape[1], writer.frozen.dtype, rows=rows
         )
 
+    def insert(self, features: Any) -> dict[str, Any]:
+        """Journal and apply one insertion; returns the new ids.
+
+        Raises :class:`~repro.errors.ConfigurationError` for a payload that
+        is not a finite, non-empty matrix with the model's column count —
+        before anything is journalled.
+        """
+        return self._submit("insert", {"features": self._checked_features(features)})
+
+    def update(self, nodes: Any, features: Any) -> dict[str, Any]:
+        """Journal and apply one feature update.
+
+        Raises :class:`~repro.errors.ConfigurationError` for non-integer ids
+        or a payload that is not a finite matrix with one row per node and
+        the model's column count — before anything is journalled.
+        """
+        ids = _node_index(nodes, "update").tolist()
+        rows = self._checked_features(features, rows=len(ids))
+        return self._submit("update", {"nodes": ids, "features": rows})
+
     def delete(self, nodes: Any) -> dict[str, Any]:
-        return self._submit("delete", {"nodes": _jsonable(nodes)})
+        """Journal and apply one deletion.
+
+        Raises :class:`~repro.errors.ConfigurationError` for non-integer
+        ids before anything is journalled.
+        """
+        ids = _node_index(nodes, "delete").tolist()
+        return self._submit("delete", {"nodes": ids})
 
     def compact(self) -> dict[str, Any]:
         return self._submit("compact", {})
@@ -697,7 +681,6 @@ class SessionPool:
         with self._lock:
             status = "degraded" if self._read_only else "ok"
             generation = self._generation
-            served = [replica.served for replica in self._replicas]
             checkpoints = self._checkpoints
             last_checkpoint_time = self._last_checkpoint_time
             failure = self._failure
@@ -706,8 +689,6 @@ class SessionPool:
         return {
             "status": status,
             "generation": generation,
-            "replicas": self.n_replicas,
-            "served_per_replica": served,
             "checkpoints": checkpoints,
             "last_checkpoint_age_s": (
                 round(now - last_checkpoint_time, 3)
@@ -735,7 +716,7 @@ class SessionPool:
     def close(self) -> None:
         """Release the pool's OS resources (today: the WAL file handle).
 
-        Sessions and replicas are plain in-memory state and need no
+        The session and snapshots are plain in-memory state and need no
         teardown; the journal owns an open append handle that must not
         outlive the pool.  Idempotent.
         """
@@ -743,308 +724,85 @@ class SessionPool:
             self.wal.close()
 
 
-class _Pending:
-    """One queued predict request with its admission timestamp and traces.
-
-    ``enqueued`` is recorded at admission and carried with the future, so the
-    deadline check covers the whole time since the client was admitted —
-    queue wait included — instead of restarting at dispatch; ``dequeued`` is
-    stamped when the dispatcher pops the item into a batch, splitting the
-    pre-dispatch time into queue-wait and batch-assembly spans.
-    """
-
-    __slots__ = ("request", "future", "enqueued", "dequeued", "traces")
-
-    def __init__(
-        self,
-        request: Mapping[str, Any],
-        future: asyncio.Future,
-        traces: tuple[Trace, ...],
-    ) -> None:
-        self.request = request
-        self.future = future
-        self.enqueued = time.perf_counter()
-        self.dequeued = self.enqueued
-        self.traces = traces
-
-
 class MicroBatcher:
-    """Coalesces concurrent predict requests into ``predict_batch`` calls.
+    """Admission control and the inline read path of the server.
 
-    Requests enter a bounded FIFO; a dispatcher task opens a batch with the
-    oldest request, waits up to the batch window for more to join (up to the
-    batch-size cap), then answers the whole batch from **one** replica with
-    one event-loop → worker-thread round-trip.  Per-request validation
-    errors come back as per-request exceptions (the session validates the
-    batch up front), so one bad request never fails its batch-mates.
+    The name is historical; nothing is batched any more.  A read only
+    validates ids and slices the current immutable
+    :class:`~repro.serving.session.ReadSnapshot`, which costs microseconds,
+    so :meth:`submit` answers it inline on the event loop: handing it to a
+    worker thread would cost more than the read itself.
 
-    No admitted request is ever left waiting forever: an unexpected
-    ``predict_batch`` exception (replica died, injected fault) resolves
-    *every* future of the batch with that error, and stopping the batcher —
-    including cancellation mid-window — fails still-queued and half-collected
-    futures with :class:`ServerDrainingError` instead of leaking them.
-
-    Deadlines cover queue time: every request carries its admission
-    timestamp, and a request whose age exceeds ``timeout_s`` when its batch
-    dispatches is answered with :class:`asyncio.TimeoutError` *without*
-    being evaluated — an expired client has already been answered 504
-    upstream, so computing its prediction would only steal replica time from
-    live requests.  Requests whose futures were cancelled by an upstream
-    ``wait_for`` are likewise dropped at dispatch.
+    :meth:`admit` is the one admission gate for reads and writes alike: it
+    counts a request as pending until it is answered and refuses new ones
+    with :class:`ServerOverloadedError` once ``max_queue_depth`` are
+    pending (reads are answered without yielding, so in practice the
+    pending ones are writes queued on the single-writer lock), and with
+    :class:`ServerDrainingError` once :meth:`stop` has begun.
     """
 
-    def __init__(
-        self,
-        pool: SessionPool,
-        executor: ThreadPoolExecutor,
-        *,
-        window_s: float,
-        max_batch_size: int,
-        max_queue_depth: int,
-        timeout_s: float | None = None,
-    ) -> None:
+    def __init__(self, pool: SessionPool, *, max_queue_depth: int) -> None:
         self.pool = pool
-        self.executor = executor
-        self.window_s = float(window_s)
-        self.max_batch_size = int(max_batch_size)
         self.max_queue_depth = int(max_queue_depth)
-        self.timeout_s = timeout_s
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._tasks: set[asyncio.Task] = set()
-        self._dispatcher: asyncio.Task | None = None
+        self.draining = False
         self.pending = 0
         self.requests = 0
         self.rejected = 0
-        self.expired = 0
-        self.batches = 0
-        self.batched_requests = 0
-        self.max_batch_observed = 0
-        registry = get_registry()
-        self._metric_shed = registry.counter(
+        self._metric_shed = get_registry().counter(
             "repro_requests_shed_total",
-            "Predict requests rejected at admission (HTTP 429)",
-        )
-        self._metric_expired = registry.counter(
-            "repro_requests_expired_total",
-            "Admitted predict requests dropped past their deadline",
-        )
-        self._metric_batch_size = registry.histogram(
-            "repro_batch_size",
-            "Realized micro-batch sizes",
-            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-        )
-        self._metric_queue_wait = registry.histogram(
-            "repro_queue_wait_seconds",
-            "Admission-to-dispatch wait of batched predict requests",
+            "Requests rejected at admission (HTTP 429)",
         )
 
-    def start(self) -> None:
-        if self._dispatcher is None:
-            self._dispatcher = asyncio.create_task(self._dispatch_loop())
+    @contextmanager
+    def admit(self) -> Iterator[None]:
+        """Hold one admission slot for the duration of the block.
 
-    async def stop(self, *, drain_timeout_s: float = 10.0) -> None:
-        """Finish queued and in-flight work, then stop the dispatcher.
-
-        Work still pending when the drain deadline expires is *failed*, not
-        abandoned: every queued future resolves with
-        :class:`ServerDrainingError` so no client is left waiting on a
-        response that will never come.
+        Raises :class:`ServerDrainingError` once the batcher is stopping and
+        :class:`ServerOverloadedError` when ``max_queue_depth`` requests are
+        already pending — load is shed at admission, not after the client
+        has waited.
         """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + drain_timeout_s
-        while (self.pending or self._tasks) and loop.time() < deadline:
-            await asyncio.sleep(0.005)
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            with suppress(asyncio.CancelledError):
-                await self._dispatcher
-            self._dispatcher = None
-        while not self._queue.empty():
-            self._abort_batch([self._queue.get_nowait()])
-
-    def _abort_batch(self, batch: list[_Pending]) -> None:
-        """Fail a batch that will never be dispatched (shutdown path)."""
-        error = ServerDrainingError("server stopped before the request was served")
-        for item in batch:
-            if not item.future.done():
-                item.future.set_exception(error)
-        self.pending -= len(batch)
-
-    async def submit(self, request: Mapping[str, Any]) -> Any:
-        """Queue one predict request; resolves to its result (or raises).
-
-        Raises :class:`ServerOverloadedError` immediately when the queue is
-        at ``max_queue_depth`` — load is shed at admission, not after the
-        client has already waited.
-        """
+        if self.draining:
+            raise ServerDrainingError("server is draining")
         if self.pending >= self.max_queue_depth:
             self.rejected += 1
             self._metric_shed.inc()
             raise ServerOverloadedError(
                 f"request queue is full ({self.max_queue_depth} pending)"
             )
-        future = asyncio.get_running_loop().create_future()
         self.pending += 1
-        self.requests += 1
-        self._queue.put_nowait(_Pending(request, future, current_traces()))
         try:
-            return await future
-        except asyncio.CancelledError:
-            # An upstream ``wait_for`` cancels *this coroutine*, not the
-            # future; marking the future cancelled is what lets the
-            # dispatcher skip the abandoned request instead of burning a
-            # replica on an answer nobody is waiting for.
-            future.cancel()
-            raise
-
-    async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            batch: list[_Pending] = []
-            try:
-                item = await self._queue.get()
-                item.dequeued = time.perf_counter()
-                batch.append(item)
-                if self.window_s > 0:
-                    deadline = loop.time() + self.window_s
-                    while len(batch) < self.max_batch_size:
-                        remaining = deadline - loop.time()
-                        if remaining <= 0:
-                            break
-                        try:
-                            item = await asyncio.wait_for(self._queue.get(), remaining)
-                        except asyncio.TimeoutError:
-                            break
-                        item.dequeued = time.perf_counter()
-                        batch.append(item)
-            except asyncio.CancelledError:
-                # Shutdown mid-collection: the half-built batch would leak
-                # its futures (clients waiting forever) — fail them instead.
-                self._abort_batch(batch)
-                raise
-            task = asyncio.create_task(self._run_batch(batch))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-
-    @staticmethod
-    def _dispatch(
-        session: InferenceSession, requests: list, traces: tuple[Trace, ...]
-    ) -> list:
-        """The worker-thread body of one batch (fault-injectable).
-
-        ``run_in_executor`` does not carry contextvars into the worker
-        thread, so the batch's traces are re-activated here explicitly —
-        session-level spans (a forward on a cold cache, k-NN during a
-        refresh) land on every member request of the coalesced batch.
-        """
-        fault_point("batcher.before_dispatch")
-        with activate(*traces):
-            return session.predict_batch(requests, on_error="return")
-
-    def _expire(self, batch: list[_Pending]) -> list[_Pending]:
-        """Split off items already answered or past their deadline.
-
-        Returns the live remainder.  Cancelled futures (upstream 504
-        already sent) are dropped silently; items older than ``timeout_s``
-        resolve with :class:`asyncio.TimeoutError` so the submitter's own
-        deadline handling fires even if its ``wait_for`` has not yet.
-        """
-        now = time.perf_counter()
-        live: list[_Pending] = []
-        for item in batch:
-            if item.future.done():
-                self.expired += 1
-                self._metric_expired.inc()
-                continue
-            if self.timeout_s is not None and now - item.enqueued > self.timeout_s:
-                self.expired += 1
-                self._metric_expired.inc()
-                item.future.set_exception(
-                    asyncio.TimeoutError(
-                        f"request spent {now - item.enqueued:.3f}s queued, "
-                        f"over its {self.timeout_s}s deadline"
-                    )
-                )
-                continue
-            live.append(item)
-        return live
-
-    async def _run_batch(self, batch: list[_Pending]) -> None:
-        loop = asyncio.get_running_loop()
-        live = self._expire(batch)
-        dispatch_start = time.perf_counter()
-        traces: tuple[Trace, ...] = ()
-        self._metric_queue_wait.observe_many(
-            dispatch_start - item.enqueued for item in live
-        )
-        for item in live:
-            traces += item.traces
-            for trace in item.traces:
-                trace.meta["batch_size"] = len(live)
-                trace.add("queue_wait", item.dequeued - item.enqueued)
-                trace.add("batch_assembly", dispatch_start - item.dequeued)
-        before = traces[0].total() if traces else 0.0
-        requests = [item.request for item in live]
-        try:
-            if live:
-                with activate(*traces):
-                    async with self.pool.acquire() as session:
-                        results = await loop.run_in_executor(
-                            self.executor,
-                            partial(self._dispatch, session, requests, traces),
-                        )
-            else:
-                results = []
-        except asyncio.CancelledError:
-            for item in live:
-                if not item.future.done():
-                    item.future.set_exception(
-                        ServerDrainingError("server stopped mid-batch")
-                    )
-            raise
-        except Exception as error:
-            # Replica died or predict_batch itself raised: every submitter
-            # of the batch gets the error (mapped to a structured 500
-            # upstream) — never a silently dropped future.
-            for item in live:
-                if not item.future.done():
-                    item.future.set_exception(error)
-        else:
-            for item, result in zip(live, results):
-                if item.future.done():
-                    continue
-                if isinstance(result, ConfigurationError):
-                    item.future.set_exception(result)
-                else:
-                    item.future.set_result(result)
+            yield
         finally:
-            if traces:
-                # The executor round-trip minus what the worker recorded:
-                # thread handoff + result marshalling, billed once so the
-                # trace's spans sum to the request's dispatch wall time.
-                recorded = traces[0].total() - before
-                residual = (time.perf_counter() - dispatch_start) - recorded
-                if residual > 0:
-                    for trace in traces:
-                        trace.add("dispatch", residual)
-            self.pending -= len(batch)
-            self.batches += 1
-            self.batched_requests += len(live)
-            if live:
-                self._metric_batch_size.observe(len(live))
-            self.max_batch_observed = max(self.max_batch_observed, len(live))
+            self.pending -= 1
+
+    async def submit(self, request: Mapping[str, Any]) -> tuple[np.ndarray, int]:
+        """Answer one read from the current snapshot: ``(result, generation)``.
+
+        ``request`` is ``{"nodes": ..., "output": ...}``; the generation is
+        that of the snapshot the result was sliced from.  Raises
+        :class:`~repro.errors.ConfigurationError` for an invalid read, plus
+        the admission errors of :meth:`admit`.
+        """
+        with self.admit():
+            snapshot = self.pool.acquire()
+            result = snapshot.answer(request.get("nodes"), request.get("output", "labels"))
+            self.requests += 1
+        return result, snapshot.generation
+
+    async def stop(self, *, drain_timeout_s: float = 10.0) -> None:
+        """Refuse new requests, then wait (bounded) for admitted ones."""
+        self.draining = True
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + drain_timeout_s
+        while self.pending and loop.time() < deadline:
+            await asyncio.sleep(0.005)
 
     def stats(self) -> dict[str, Any]:
         return {
             "requests": self.requests,
             "rejected": self.rejected,
-            "expired": self.expired,
-            "batches": self.batches,
             "pending": self.pending,
-            "mean_batch_size": (
-                round(self.batched_requests / self.batches, 3) if self.batches else 0.0
-            ),
-            "max_batch_size": self.max_batch_observed,
         }
 
 
@@ -1073,7 +831,8 @@ class ServingServer:
                               of the process metrics registry
     POST      ``/predict``    ``{"node": 3}`` or ``{"nodes": [...]|null,
                               "output": "labels"|"logits"|"embeddings"}``
-                              → ``{"result", "generation"}`` (coalesced)
+                              → ``{"result", "generation"}`` (the
+                              generation of the snapshot that answered)
     POST      ``/insert``     ``{"features": [[...], ...]}`` → ``{"ids"}``
     POST      ``/update``     ``{"nodes": [...], "features": [[...]]}``
     POST      ``/delete``     ``{"nodes": [...]}`` → ``{"n_alive"}``
@@ -1081,11 +840,11 @@ class ServingServer:
     POST      ``/reassign``   ``{}`` → ``{"moves"}``
     ========  ==============  ====================================================
 
-    Error mapping: invalid request → 400 with ``{"error": ...}`` (scoped to
-    the one request even inside a coalesced batch), queue full → 429,
-    draining or writer quarantined → 503 (the latter with ``Retry-After``),
-    deadline expired → 504, unexpected failure → structured 500 JSON (the
-    connection survives), unknown path → 404.
+    Error mapping: invalid request → 400 with ``{"error": ...}``, body over
+    :data:`MAX_BODY_BYTES` → 413 (unread, connection closed), queue full →
+    429, draining or writer quarantined → 503 (the latter with
+    ``Retry-After``), write deadline expired → 504, unexpected failure →
+    structured 500 JSON (the connection survives), unknown path → 404.
 
     Startup is restart-aware: when ``config.checkpoint_path`` names an
     existing bundle, the server loads *it* (the newest published generation)
@@ -1109,7 +868,6 @@ class ServingServer:
             frozen = FrozenModel.load(frozen)
         self.pool = SessionPool(
             frozen,
-            replicas=self.config.replicas,
             cluster_assignment=self.config.cluster_assignment,
             checkpoint_path=self.config.checkpoint_path,
             wal_path=self.config.wal_path,
@@ -1118,23 +876,19 @@ class ServingServer:
             refresh_workers=self.config.refresh_workers,
         )
         self.recovered = self.pool.recover()
-        # One worker per replica plus a dedicated slot for the write path,
-        # so a publish can never deadlock behind a full read fleet.
+        # Reads are answered on the event loop; the one worker thread runs
+        # the (serialised) writes.
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.replicas + 1, thread_name_prefix="repro-serve"
+            max_workers=1, thread_name_prefix="repro-serve"
         )
         self.batcher = MicroBatcher(
-            self.pool,
-            self._executor,
-            window_s=self.config.batch_window_ms / 1000.0,
-            max_batch_size=self.config.max_batch_size,
-            max_queue_depth=self.config.max_queue_depth,
-            timeout_s=self.config.request_timeout_s,
+            self.pool, max_queue_depth=self.config.max_queue_depth
         )
         self._write_lock = asyncio.Lock()
         self._server: asyncio.base_events.Server | None = None
-        self._draining = False
-        self.connections = 0
+        #: Live connection handlers and their streams, so shutdown can close
+        #: idle keep-alive connections and let the handlers finish.
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.started_at = time.time()
         self._start_clock = time.perf_counter()
         self._tracing = (
@@ -1169,10 +923,13 @@ class ServingServer:
         self._metric_latency = registry.histogram(
             "repro_request_seconds", "End-to-end HTTP request latency", ("route",)
         )
+        self._metric_queue_wait = registry.histogram(
+            "repro_queue_wait_seconds", "Wait of writes queued on the single writer"
+        )
         gauges = {
             "uptime": ("repro_uptime_seconds", "Seconds since server start"),
             "generation": ("repro_generation", "Published generation count"),
-            "queue_depth": ("repro_queue_depth", "Pending predict requests"),
+            "queue_depth": ("repro_queue_depth", "Admitted, unanswered requests"),
             "wal_depth": ("repro_wal_depth", "Unreplayed records in the journal"),
             "checkpoint_age": (
                 "repro_checkpoint_age_seconds", "Age of the newest checkpoint",
@@ -1288,6 +1045,11 @@ class ServingServer:
     # Lifecycle
     # ------------------------------------------------------------------ #
     @property
+    def connections(self) -> int:
+        """Open HTTP connections."""
+        return len(self._handlers)
+
+    @property
     def port(self) -> int:
         """The bound port (useful with ``port=0`` for an ephemeral one).
 
@@ -1299,13 +1061,12 @@ class ServingServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        """Bind the listening socket and start the dispatcher.
+        """Bind the listening socket.
 
         Raises :class:`~repro.errors.ConfigurationError` when called twice.
         """
         if self._server is not None:
             raise ConfigurationError("server is already started")
-        self.batcher.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -1319,14 +1080,17 @@ class ServingServer:
     async def shutdown(self) -> None:
         """Graceful drain: reject new work, finish in-flight, close sockets.
 
-        New requests receive 503 the moment draining starts; everything
-        already admitted to the queue (and every in-flight batch) is served
-        before the dispatcher stops, bounded by ``drain_timeout_s``.
+        New requests receive 503 the moment draining starts; every write
+        already admitted (running or queued on the writer lock) finishes
+        first, bounded by ``drain_timeout_s``.
         """
-        self._draining = True
         await self.batcher.stop(drain_timeout_s=self.config.drain_timeout_s)
         if self._server is not None:
             self._server.close()
+            for writer in self._handlers.values():
+                writer.close()  # an idle keep-alive handler wakes to EOF
+            if self._handlers:
+                await asyncio.wait(list(self._handlers), timeout=1.0)
             with suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self._server.wait_closed(), timeout=1.0)
             self._server = None
@@ -1341,14 +1105,14 @@ class ServingServer:
     @property
     def status(self) -> str:
         """The health state machine: ``ok`` → ``degraded`` → ``draining``."""
-        if self._draining:
+        if self.batcher.draining:
             return "draining"
         return self.pool.status
 
     def stats(self) -> dict[str, Any]:
         payload = {
             "status": self.status,
-            "draining": self._draining,
+            "draining": self.batcher.draining,
             "connections": self.connections,
             "recovered": self.recovered,
             "telemetry": self._live_telemetry(),
@@ -1356,11 +1120,7 @@ class ServingServer:
             "pool": self.pool.stats(),
             "metrics": self.registry.snapshot(),
             "config": {
-                "replicas": self.config.replicas,
-                "batch_window_ms": self.config.batch_window_ms,
-                "max_batch_size": self.config.max_batch_size,
                 "max_queue_depth": self.config.max_queue_depth,
-                "request_timeout_s": self.config.request_timeout_s,
                 "write_timeout_s": self.config.write_timeout_s,
                 "wal": self.config.wal_path is not None,
                 "shards": self.config.shards,
@@ -1379,7 +1139,7 @@ class ServingServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.connections += 1
+        self._handlers[asyncio.current_task()] = writer
         try:
             while True:
                 # One read for the whole head (request line + headers): the
@@ -1413,6 +1173,15 @@ class ServingServer:
                 except ValueError:
                     await self._respond(writer, 400, {"error": "bad content-length"})
                     break
+                if length > MAX_BODY_BYTES:
+                    # The body is never read, so the connection cannot be
+                    # re-synchronised: answer and close.
+                    await self._respond(
+                        writer, 413,
+                        {"error": f"request body of {length} bytes exceeds "
+                                  f"the {MAX_BODY_BYTES}-byte limit"},
+                    )
+                    break
                 body = b""
                 if length:
                     try:
@@ -1429,7 +1198,7 @@ class ServingServer:
                 if not keep_alive:
                     break
         finally:
-            self.connections -= 1
+            del self._handlers[asyncio.current_task()]
             writer.close()
             with suppress(Exception):
                 await writer.wait_closed()
@@ -1505,10 +1274,16 @@ class ServingServer:
         start = time.perf_counter()
         if trace is not None:
             with activate(trace):
-                status, payload, extra = await self._route(method, path, body)
+                status, payload, extra = await self._route(method, path, body, start)
+                duration = time.perf_counter() - start
+            # Building and returning the response after the route's last
+            # span, billed so a trace's spans tile its whole duration.
+            residual = duration - trace.total()
+            if residual > 0:
+                trace.add("respond", residual)
         else:
-            status, payload, extra = await self._route(method, path, body)
-        duration = time.perf_counter() - start
+            status, payload, extra = await self._route(method, path, body, start)
+            duration = time.perf_counter() - start
         self._metric_requests.inc(route=route, status=str(status))
         self._metric_latency.observe(duration, route=route)
         if trace is not None:
@@ -1524,7 +1299,7 @@ class ServingServer:
                     route=route,
                     method=method,
                     status=status,
-                    duration_ms=round(duration * 1e3, 3),
+                    duration_ms=round(duration * 1e3, 4),
                     slow=slow,
                     generation=self.pool.generation,
                     spans_ms=trace.spans_ms(),
@@ -1533,8 +1308,14 @@ class ServingServer:
         return status, payload, extra
 
     async def _route(
-        self, method: str, path: str, body: bytes
+        self, method: str, path: str, body: bytes, start: float
     ) -> tuple[int, dict | bytes, dict[str, str] | None]:
+        """Dispatch one request that arrived at ``start`` (``perf_counter``).
+
+        A read's spans tile its handling from ``start``: ``parse`` up to the
+        decoded body, ``slice`` up to the sliced result, then ``respond``
+        (billed by :meth:`_serve_request`) for the rest.
+        """
         try:
             if method == "GET":
                 if path in ("/healthz", "/health"):
@@ -1546,16 +1327,16 @@ class ServingServer:
                 return 404, {"error": f"unknown path {path!r}"}, None
             if method != "POST":
                 return 405, {"error": f"unsupported method {method!r}"}, None
-            if self._draining:
-                return 503, {"error": "server is draining"}, None
             try:
                 payload = json.loads(body.decode() or "{}")
             except (json.JSONDecodeError, UnicodeDecodeError) as error:
                 return 400, {"error": f"invalid JSON body: {error}"}, None
+            parsed = time.perf_counter()
+            record_span("parse", parsed - start)
             if not isinstance(payload, Mapping):
                 return 400, {"error": "request body must be a JSON object"}, None
             if path == "/predict":
-                return await self._route_predict(payload)
+                return await self._route_predict(payload, parsed)
             if path in ("/insert", "/update", "/delete", "/compact", "/reassign"):
                 return await self._route_write(path, payload)
             return 404, {"error": f"unknown path {path!r}"}, None
@@ -1582,42 +1363,17 @@ class ServingServer:
             )
 
     async def _route_predict(
-        self, payload: Mapping[str, Any]
+        self, payload: Mapping[str, Any], parsed: float
     ) -> tuple[int, dict, dict[str, str] | None]:
         if "node" in payload and "nodes" not in payload:
             nodes: Any = payload["node"]
         else:
             nodes = payload.get("nodes")
-        request = {"nodes": nodes, "output": payload.get("output", "labels")}
-        timeout = self.config.request_timeout_s
-        trace = current_trace()
-        start = time.perf_counter()
-        before = trace.total() if trace is not None else 0.0
-        try:
-            if timeout is not None:
-                result = await asyncio.wait_for(self.batcher.submit(request), timeout)
-            else:
-                result = await self.batcher.submit(request)
-        except asyncio.TimeoutError:
-            return (
-                504,
-                {"error": f"predict deadline of {timeout}s exceeded",
-                 "timeout_s": timeout},
-                None,
-            )
-        except ConfigurationError as error:
-            return 400, {"error": str(error)}, None
-        if trace is not None:
-            # Submit-to-resume time the batcher could not see: mostly the
-            # event-loop wake-up after the batch resolved this future.
-            residual = (time.perf_counter() - start) - (trace.total() - before)
-            if residual > 0:
-                trace.add("dispatch", residual)
-        return (
-            200,
-            {"result": _jsonable(result), "generation": self.pool.generation},
-            None,
+        result, generation = await self.batcher.submit(
+            {"nodes": nodes, "output": payload.get("output", "labels")}
         )
+        record_span("slice", time.perf_counter() - parsed)
+        return 200, {"result": _jsonable(result), "generation": generation}, None
 
     async def _route_write(
         self, path: str, payload: Mapping[str, Any]
@@ -1642,30 +1398,36 @@ class ServingServer:
         timeout = self.config.write_timeout_s
         trace = current_trace()
         try:
-            lock_start = time.perf_counter()
-            async with self._write_lock:
-                exec_start = time.perf_counter()
-                if trace is not None:
-                    # Writes queue on the single-writer lock the way predicts
-                    # queue in the batcher — bill the wait under the same name.
-                    trace.add("queue_wait", exec_start - lock_start)
-                before = trace.total() if trace is not None else 0.0
-                future = loop.run_in_executor(
-                    self._executor, partial(self._traced_call, call, current_traces())
-                )
-                if timeout is not None:
-                    result = await asyncio.wait_for(future, timeout)
-                else:
-                    result = await future
-                if trace is not None:
-                    # Executor round-trip minus the worker-recorded spans:
-                    # the thread handoff cost, kept so spans sum to wall time.
-                    residual = (
-                        (time.perf_counter() - exec_start)
-                        - (trace.total() - before)
+            with self.batcher.admit():
+                lock_start = time.perf_counter()
+                async with self._write_lock:
+                    exec_start = time.perf_counter()
+                    self._metric_queue_wait.observe(exec_start - lock_start)
+                    record_span("queue_wait", exec_start - lock_start)
+                    # Refused on the loop: a quarantined pool's worker thread
+                    # may still be wedged in the write that expired.
+                    self.pool.ensure_writable()
+                    before = trace.total() if trace is not None else 0.0
+                    future = loop.run_in_executor(
+                        self._executor, partial(self._traced_call, call, current_traces())
                     )
-                    if residual > 0:
-                        trace.add("dispatch", residual)
+                    if timeout is not None:
+                        result = await asyncio.wait_for(future, timeout)
+                    else:
+                        result = await future
+                    if trace is not None:
+                        # Executor round-trip minus the worker-recorded
+                        # spans: the thread handoff cost, kept so spans sum
+                        # to wall time.
+                        residual = (
+                            (time.perf_counter() - exec_start)
+                            - (trace.total() - before)
+                        )
+                        if residual > 0:
+                            trace.add("dispatch", residual)
+                    # Still under the writer lock: the generation this write
+                    # published, not a later one.
+                    generation = self.pool.generation
         except asyncio.TimeoutError:
             # The worker thread is still running somewhere past its budget;
             # its final state is unknowable, so the writer can no longer be
@@ -1680,9 +1442,7 @@ class ServingServer:
                           f"degraded to read-only", "timeout_s": timeout},
                 None,
             )
-        result = dict(result)
-        result["generation"] = self.pool.generation
-        return 200, _jsonable(result), None
+        return 200, _jsonable({**result, "generation": generation}), None
 
     @staticmethod
     def _traced_call(call: Callable[[], dict], traces: tuple[Trace, ...]) -> dict:

@@ -6,8 +6,10 @@ evolves — the **full node lifecycle**:
 
 * **query requests** — logits / labels / embeddings for single nodes or node
   subsets.  The session runs at most one full-batch forward per topology
-  generation and slices every request out of the cached result, so
-  micro-batched requests share one forward pass;
+  generation and publishes its outputs as one immutable
+  :class:`ReadSnapshot`; every request is validated and sliced out of that
+  snapshot, so batched requests share one forward pass and a serving
+  front-end answers reads from the very same code;
 * **feature updates** — moved nodes flow into
   :meth:`IncrementalBackend.update` as an explicit mover mask, so the next
   refresh re-queries only what the movement can have invalidated;
@@ -54,6 +56,7 @@ sessions with diverging node sets (give each session its own
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -99,6 +102,89 @@ def _node_index(nodes: Any, context: str) -> np.ndarray:
             f"with values {preview}{suffix}"
         )
     return index.astype(np.int64, copy=False)
+
+
+#: A validated read: ``(index, output, scalar)``.
+_Read = tuple[np.ndarray | None, str, bool]
+
+
+def _read_request(
+    nodes: Any, output: str, alive: np.ndarray, has_embeddings: bool
+) -> _Read:
+    """Validate one read against a node set without computing anything.
+
+    ``alive`` is the node set's alive mask (its length is the id range).
+    Returns ``(index, output, scalar)`` where ``index`` is ``None`` for a
+    whole-set query and ``scalar`` says whether to unwrap a single row.
+    Raises :class:`~repro.errors.ConfigurationError` for an unknown output,
+    embeddings without a dedicated plan, and non-integer, out-of-range or
+    deleted node ids.
+    """
+    if output not in _OUTPUTS:
+        raise ConfigurationError(f"output must be one of {_OUTPUTS}, got {output!r}")
+    if output == "embeddings" and not has_embeddings:
+        raise ConfigurationError("embeddings need a compiled DHGNN/DHGCN plan")
+    if nodes is None:
+        return None, output, False
+    index = _node_index(nodes, "predict")
+    n_nodes = alive.shape[0]
+    if index.size and (index.min() < 0 or index.max() >= n_nodes):
+        raise ConfigurationError(
+            f"node ids must be in [0, {n_nodes}), got {nodes!r}"
+        )
+    dead = index[~alive[index]]
+    if dead.size:
+        raise ConfigurationError(
+            f"nodes {np.unique(dead).tolist()} have been deleted"
+        )
+    return index, output, bool(np.isscalar(nodes) or np.ndim(nodes) == 0)
+
+
+@dataclass(frozen=True, eq=False)
+class ReadSnapshot:
+    """One immutable generation of a session's outputs: the whole read path.
+
+    Built once per forward: ``labels`` (the argmax, computed once instead of
+    per request), ``logits``, ``embeddings`` (the final layer's input;
+    ``None`` for a generic module plan), the ``alive`` mask and the
+    ``generation`` it belongs to.  Every array is a read-only view, and
+    none aliases state the session overwrites in place, so a snapshot handed
+    to a reader stays bit-identical however the session churns afterwards,
+    and any number of threads or coroutines may read it without a lock.
+    """
+
+    generation: int
+    labels: np.ndarray
+    logits: np.ndarray
+    embeddings: np.ndarray | None
+    alive: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("labels", "logits", "embeddings", "alive"):
+            array = getattr(self, name)
+            if array is not None:
+                view = array.view()
+                view.setflags(write=False)
+                object.__setattr__(self, name, view)
+
+    def slice(self, request: _Read) -> np.ndarray:
+        """The rows a validated read selects (a fresh array)."""
+        index, output, scalar = request
+        full = getattr(self, output)
+        if index is None:
+            return full[self.alive]
+        result = full[index]
+        return result[0] if scalar else result
+
+    def answer(self, nodes: Any = None, output: str = "labels") -> np.ndarray:
+        """Validate and slice one read (``nodes=None`` = every alive node).
+
+        Raises :class:`~repro.errors.ConfigurationError` for an unknown
+        output and for non-integer, out-of-range or deleted node ids.
+        """
+        return self.slice(
+            _read_request(nodes, output, self.alive, self.embeddings is not None)
+        )
 
 
 def _clone_incremental(backend: IncrementalBackend) -> IncrementalBackend:
@@ -214,6 +300,7 @@ class InferenceSession:
         self._stale_outputs = True
         self._layer_inputs: list[np.ndarray] | None = None
         self._logits: np.ndarray | None = None
+        self._snapshot: ReadSnapshot | None = None
         self._slots = {slot.position: slot for slot in self.plan.slots}
         self._reassign_every: int | None = None
         self._refreshes_since_reassign = 0
@@ -283,46 +370,44 @@ class InferenceSession:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def _validate_request(
-        self, nodes: Any, output: str
-    ) -> tuple[np.ndarray | None, str, bool]:
-        """Validate one query without computing anything.
+    def read_snapshot(self) -> ReadSnapshot:
+        """The current outputs as an immutable :class:`ReadSnapshot`.
 
-        Returns ``(index, output, scalar)`` where ``index`` is ``None`` for a
-        whole-set query and ``scalar`` says whether to unwrap a single row.
-        Validation needs no refresh: the node set and tombstones only change
-        through mutations, never through the refresh itself.
+        Refreshes first when a mutation is pending, then builds the snapshot
+        once per forward and hands out the same object until the next one.
+        Its ``generation`` is the session's forward count; a
+        :class:`~repro.serving.server.SessionPool` re-stamps it with the
+        published generation.
         """
-        if output not in _OUTPUTS:
-            raise ConfigurationError(f"output must be one of {_OUTPUTS}, got {output!r}")
-        if output == "embeddings" and isinstance(self.plan, _ModulePlan):
-            raise ConfigurationError("embeddings need a compiled DHGNN/DHGCN plan")
-        if nodes is None:
-            return None, output, False
-        index = _node_index(nodes, "predict")
-        if index.size and (index.min() < 0 or index.max() >= self.n_nodes):
-            raise ConfigurationError(
-                f"node ids must be in [0, {self.n_nodes}), got {nodes!r}"
+        self._ensure_fresh()
+        if self._snapshot is None:
+            embeddings = None
+            if not isinstance(self.plan, _ModulePlan):
+                embeddings = self._layer_inputs[-1]
+                if embeddings is self._features:
+                    # One-layer plan: the final layer's input is the live
+                    # feature matrix, which updates overwrite in place.
+                    embeddings = embeddings.copy()
+            self._snapshot = ReadSnapshot(
+                generation=self.forwards,
+                labels=np.argmax(self._logits, axis=1),
+                logits=self._logits,
+                embeddings=embeddings,
+                alive=~self._deleted,
             )
-        dead = index[self._deleted[index]]
-        if dead.size:
-            raise ConfigurationError(
-                f"nodes {np.unique(dead).tolist()} have been deleted"
-            )
-        return index, output, bool(np.isscalar(nodes) or np.ndim(nodes) == 0)
+        return self._snapshot
 
-    def _answer(self, index: np.ndarray | None, output: str, scalar: bool) -> np.ndarray:
-        """Slice one validated request out of the cached forward."""
-        if output == "embeddings":
-            full = self._layer_inputs[-1]
-        elif output == "logits":
-            full = self._logits
-        else:
-            full = np.argmax(self._logits, axis=1)
-        if index is None:
-            return full[~self._deleted]
-        result = full[index]
-        return result[0] if scalar else result
+    def _request(self, nodes: Any, output: str) -> _Read:
+        """Validate one read against the current node set, before any refresh.
+
+        Same rules and messages as :meth:`ReadSnapshot.answer`: the node set
+        and tombstones change only through mutations, never through the
+        refresh itself, so an invalid read is refused without computing
+        anything.
+        """
+        return _read_request(
+            nodes, output, ~self._deleted, not isinstance(self.plan, _ModulePlan)
+        )
 
     def predict(
         self, nodes: int | Sequence[int] | None = None, *, output: str = "labels"
@@ -335,9 +420,8 @@ class InferenceSession:
         non-integer node ids raise :class:`~repro.errors.ConfigurationError`;
         with ``None`` the rows follow :attr:`alive_ids` order.
         """
-        request = self._validate_request(nodes, output)
-        self._ensure_fresh()
-        return self._answer(*request)
+        request = self._request(nodes, output)
+        return self.read_snapshot().slice(request)
 
     @staticmethod
     def _parse_request(request: Mapping[str, Any] | Sequence[int] | None) -> tuple[Any, str]:
@@ -369,19 +453,20 @@ class InferenceSession:
             raise ConfigurationError(
                 f"on_error must be 'raise' or 'return', got {on_error!r}"
             )
-        parsed: list[tuple[np.ndarray | None, str, bool] | ConfigurationError] = []
+        parsed: list[_Read | ConfigurationError] = []
         for request in requests:
             nodes, output = self._parse_request(request)
             try:
-                parsed.append(self._validate_request(nodes, output))
+                parsed.append(self._request(nodes, output))
             except ConfigurationError as error:
                 if on_error == "raise":
                     raise
                 parsed.append(error)
-        if any(not isinstance(entry, ConfigurationError) for entry in parsed):
-            self._ensure_fresh()
+        if all(isinstance(entry, ConfigurationError) for entry in parsed):
+            return parsed
+        snapshot = self.read_snapshot()
         return [
-            entry if isinstance(entry, ConfigurationError) else self._answer(*entry)
+            entry if isinstance(entry, ConfigurationError) else snapshot.slice(entry)
             for entry in parsed
         ]
 
@@ -689,9 +774,9 @@ class InferenceSession:
         — tombstones, pending movers and the cached forward all carry over —
         and costs one feature-matrix copy plus a plan clone (the refreshed
         CSR operators and weights are immutable and stay shared).  A freshly
-        refreshed parent therefore forks replicas that answer immediately,
-        without re-running a forward: the session-pool fan-out a serving
-        front-end performs after every write.  The fork follows the same
+        refreshed parent therefore forks a session that answers immediately,
+        without re-running a forward (a what-if branch of a live session, or
+        a second writer over the same state).  The fork follows the same
         isolation contract as constructing a session: private plan slots,
         feature matrix, tombstone state, refresh engine and (for the built-in
         incremental and sharded backends) neighbour state; custom backend
@@ -733,6 +818,7 @@ class InferenceSession:
                 for array in self._layer_inputs
             ]
         clone._logits = self._logits
+        clone._snapshot = self._snapshot
         clone._slots = {slot.position: slot for slot in clone.plan.slots}
         clone._reassign_every = self._reassign_every
         clone._refreshes_since_reassign = self._refreshes_since_reassign
@@ -767,6 +853,7 @@ class InferenceSession:
         elif self._stale_outputs:
             with span("forward"):
                 self._layer_inputs, self._logits = self.plan.run(self._features)
+            self._snapshot = None
             self.forwards += 1
             self._stale_outputs = False
 
@@ -799,6 +886,7 @@ class InferenceSession:
                 hidden = plan.apply_layer(position, hidden)
         self._layer_inputs = layer_inputs
         self._logits = hidden
+        self._snapshot = None
         self._moved[:] = False
         self._inserted = 0
         self._state_ids = alive
@@ -1076,8 +1164,8 @@ class ShardedSession(InferenceSession):
       unchanged by partition-independence.
     * :meth:`to_frozen` persists the current shard map into the snapshot's
       ``meta["shard_map"]``, so a bundle round-trip stays sharded.
-    * :meth:`fork` clones the per-shard state (replica fan-out works exactly
-      as for the incremental backend).
+    * :meth:`fork` clones the per-shard state, exactly as for the
+      incremental backend.
 
     Parameters
     ----------

@@ -15,13 +15,14 @@ The load-bearing guarantees pinned here:
   sequence is killed (``os._exit``, the ``kill -9`` analogue) at that
   point, and recovery from checkpoint + WAL reconstructs the exact prefix
   state — then finishes the sequence to the exact final state;
-* failure containment in the HTTP front-end: deadline-expired requests
-  answer 504 within ~2x the budget, a writer failure quarantines the pool
-  (writes 503 + ``Retry-After`` while reads keep serving, ``/healthz``
-  reports ``degraded``), an unexpected batch failure resolves every
-  batch-mate with a structured 500 (no leaked futures, connection
-  survives), and shutdown fails still-queued futures instead of leaking
-  them.
+* bad write payloads (NaN, inf, wrong column count, empty) are refused
+  with a 400 *before* they are journalled: the WAL depth is unchanged, the
+  pool stays ``ok`` and a restart has nothing to replay;
+* failure containment in the HTTP front-end: a deadline-expired write
+  answers 504, a writer failure quarantines the pool (writes 503 +
+  ``Retry-After`` while reads keep serving, ``/healthz`` reports
+  ``degraded``), and shutdown refuses new work while admitted writes
+  finish.
 
 Chaos-marked tests (``pytest -m chaos``) spawn subprocesses; the
 ``REPRO_CHAOS_QUICK=1`` environment switch shrinks the crash matrix to one
@@ -54,7 +55,6 @@ from repro.serving import (
     clear_faults,
     fault_registry,
 )
-from repro.serving.server import MicroBatcher, ServerDrainingError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_ROOT / "src"
@@ -167,7 +167,6 @@ class TestFaultRegistry:
             "session.mid_mutation",
             "pool.mid_apply",
             "pool.after_checkpoint",
-            "batcher.before_dispatch",
         ):
             assert expected in points
 
@@ -225,7 +224,6 @@ def _new_rows(n_rows, n_cols, seed):
 
 
 def _pool(bundle_path, tmp_path, *, wal=True, checkpoint=True, **kwargs):
-    kwargs.setdefault("replicas", 1)
     return SessionPool(
         FrozenModel.load(bundle_path),
         checkpoint_path=tmp_path / "ckpt.npz" if checkpoint else None,
@@ -264,7 +262,6 @@ class TestPoolWAL:
         # ServingServer does) and replay the WAL suffix on top of it.
         recovered = SessionPool(
             FrozenModel.load(tmp_path / "ckpt.npz"),
-            replicas=1,
             checkpoint_path=tmp_path / "ckpt.npz",
             wal_path=tmp_path / "mut.wal",
         )
@@ -285,7 +282,7 @@ class TestPoolWAL:
         snapshot = pool.writer.to_frozen()
         snapshot.meta["wal_seq"] = pool.last_seq
         recovered = SessionPool(
-            snapshot, replicas=1, wal_path=tmp_path / "mut.wal"
+            snapshot, wal_path=tmp_path / "mut.wal"
         )
         assert recovered.recover() == 0  # every record deduped by seq
         assert recovered.last_seq == pool.last_seq
@@ -301,7 +298,7 @@ class TestPoolWAL:
         pool.insert(_new_rows(2, n_cols, seed=4))
         reference = pool.writer.predict(output="logits").copy()
         recovered = SessionPool(
-            FrozenModel.load(bundle_path), replicas=1,
+            FrozenModel.load(bundle_path),
             wal_path=tmp_path / "mut.wal",
         )
         assert recovered.recover() == 1  # the insert; the bad delete skipped
@@ -315,7 +312,7 @@ class TestPoolWAL:
         n_cols = pool.writer.features.shape[1]
         pool.insert(_new_rows(1, n_cols, seed=5))
         stale = SessionPool(
-            FrozenModel.load(bundle_path), replicas=1,
+            FrozenModel.load(bundle_path),
             wal_path=tmp_path / "mut.wal",
         )
         with pytest.raises(ConfigurationError, match="recover"):
@@ -326,7 +323,7 @@ class TestPoolWAL:
     ):
         pool = _pool(bundle_path, tmp_path)
         n_cols = pool.writer.features.shape[1]
-        baseline = asyncio.run(self._read_logits(pool))
+        baseline = pool.acquire().answer(output="logits")
         fault_registry().set("pool.mid_apply", "raise")
         with pytest.raises(FaultInjected):
             pool.insert(_new_rows(1, n_cols, seed=7))
@@ -336,7 +333,7 @@ class TestPoolWAL:
             pool.insert(_new_rows(1, n_cols, seed=8))
         # Readers still serve the last *published* generation, bit-identically.
         clear_faults()
-        assert np.array_equal(asyncio.run(self._read_logits(pool)), baseline)
+        assert np.array_equal(pool.acquire().answer(output="logits"), baseline)
 
     def test_validation_errors_do_not_quarantine(self, bundle_path, tmp_path):
         pool = _pool(bundle_path, tmp_path)
@@ -346,10 +343,39 @@ class TestPoolWAL:
             pool.insert([[1.0, 2.0], [3.0]])  # ragged: rejected pre-journal
         assert not pool.read_only and pool.status == "ok"
 
-    @staticmethod
-    async def _read_logits(pool):
-        async with pool.acquire() as session:
-            return session.predict(output="logits").copy()
+    @pytest.mark.parametrize(
+        "op, bad",
+        [
+            ("insert", [[float("nan")] * 40]),
+            ("update", [[float("inf")] * 40]),
+            ("insert", np.zeros((1, 7))),
+            ("update", np.zeros((0, 40))),
+            ("update", np.zeros((2, 40))),  # two rows for one node
+            ("insert", [1.0] * 40),          # 1-D, not a matrix
+        ],
+        ids=["nan", "inf", "columns", "empty", "rows", "1-d"],
+    )
+    def test_bad_payloads_are_refused_before_the_journal(
+        self, bundle_path, tmp_path, op, bad
+    ):
+        pool = _pool(bundle_path, tmp_path, checkpoint=False)
+        with pytest.raises(ConfigurationError, match="features"):
+            if op == "insert":
+                pool.insert(bad)
+            else:
+                pool.update([3], bad)
+        assert pool.wal.depth == 0 and pool.last_seq == 0
+        assert pool.status == "ok"
+
+    def test_non_integer_ids_are_refused_before_the_journal(
+        self, bundle_path, tmp_path
+    ):
+        pool = _pool(bundle_path, tmp_path, checkpoint=False)
+        with pytest.raises(ConfigurationError, match="integers"):
+            pool.delete([1.5])
+        with pytest.raises(ConfigurationError, match="integers"):
+            pool.update([2.0], np.zeros((1, 40)))
+        assert pool.wal.depth == 0 and pool.status == "ok"
 
 
 # --------------------------------------------------------------------------- #
@@ -397,7 +423,7 @@ from test_serving_faults import N_CHAOS_OPS, _apply_scripted_op
 ckpt = Path(os.environ["CHAOS_CKPT"])
 bundle = os.environ["CHAOS_BUNDLE"]
 frozen = FrozenModel.load(ckpt if ckpt.exists() else bundle)
-pool = SessionPool(frozen, replicas=1, checkpoint_path=ckpt,
+pool = SessionPool(frozen, checkpoint_path=ckpt,
                    wal_path=os.environ["CHAOS_WAL"])
 pool.recover()
 for k in range(pool.last_seq, N_CHAOS_OPS):
@@ -408,7 +434,6 @@ print("COMPLETED", pool.last_seq)
 
 def _chaos_points():
     points = sorted(fault_registry().points())
-    points.remove("batcher.before_dispatch")  # read path: no WAL involvement
     if os.environ.get("REPRO_CHAOS_QUICK"):
         # One representative point per module keeps the quick matrix honest.
         keep: dict[str, str] = {}
@@ -421,7 +446,7 @@ def _chaos_points():
 @pytest.fixture(scope="module")
 def chaos_reference(bundle_path):
     """Logits after every prefix of the chaos script, from an uncrashed run."""
-    pool = SessionPool(FrozenModel.load(bundle_path), replicas=1)
+    pool = SessionPool(FrozenModel.load(bundle_path))
     prefixes = [pool.writer.predict(output="logits").copy()]
     for k in range(N_CHAOS_OPS):
         _apply_scripted_op(pool, k)
@@ -468,7 +493,7 @@ def test_crash_recovery_matrix(point, bundle_path, chaos_reference, tmp_path):
     # replay the WAL suffix on top of it.
     frozen = FrozenModel.load(ckpt if ckpt.exists() else bundle_path)
     pool = SessionPool(
-        frozen, replicas=1, checkpoint_path=ckpt, wal_path=wal
+        frozen, checkpoint_path=ckpt, wal_path=wal
     )
     pool.recover()
     assert not pool.read_only, pool.failure
@@ -500,7 +525,7 @@ shards = int(os.environ["CHAOS_SHARDS"])
 ckpt = Path(os.environ["CHAOS_CKPT"])
 frozen = FrozenModel.load(ckpt if ckpt.exists() else os.environ["CHAOS_BUNDLE"])
 kwargs = {"shards": shards} if shards else {}
-pool = SessionPool(frozen, replicas=1, checkpoint_path=ckpt,
+pool = SessionPool(frozen, checkpoint_path=ckpt,
                    wal_path=os.environ["CHAOS_WAL"], **kwargs)
 pool.recover()
 
@@ -544,7 +569,7 @@ def test_crash_between_compact_and_wal_truncate(point, shards, bundle_path, tmp_
         return np.random.default_rng(seed).normal(size=(n, n_cols))
 
     # Uncrashed, unsharded reference for every state the recovery must hit.
-    reference = SessionPool(FrozenModel.load(bundle_path), replicas=1)
+    reference = SessionPool(FrozenModel.load(bundle_path))
     n_cols = reference.writer.features.shape[1]
     reference.delete([3, 11])
     reference.update([7], rows(71, 1, n_cols))
@@ -571,7 +596,7 @@ def test_crash_between_compact_and_wal_truncate(point, shards, bundle_path, tmp_
     assert ckpt.exists()  # at least the init checkpoint always lands
 
     recovered = SessionPool(
-        FrozenModel.load(ckpt), replicas=1, checkpoint_path=ckpt, wal_path=wal
+        FrozenModel.load(ckpt), checkpoint_path=ckpt, wal_path=wal
     )
     # The shard map rides the checkpoint meta: no shards= argument here, yet
     # the recovered writer is sharded exactly when the crashed one was.
@@ -640,8 +665,6 @@ class _Client:
 
 def _serve(bundle_path, scenario, **config_kwargs):
     config_kwargs.setdefault("port", 0)
-    config_kwargs.setdefault("replicas", 1)
-    config_kwargs.setdefault("batch_window_ms", 2.0)
 
     async def run():
         server = ServingServer(
@@ -660,29 +683,6 @@ def _serve(bundle_path, scenario, **config_kwargs):
 
 
 class TestDeadlines:
-    def test_predict_deadline_answers_504_within_twice_the_budget(
-        self, bundle_path
-    ):
-        budget = 0.25
-        fault_registry().set("batcher.before_dispatch", "delay:2.0")
-
-        async def scenario(server):
-            async with _Client(server.port) as client:
-                started = time.perf_counter()
-                status, payload, _ = await client.request(
-                    "POST", "/predict", {"node": 3}
-                )
-                elapsed = time.perf_counter() - started
-            return status, payload, elapsed
-
-        status, payload, elapsed = _serve(
-            bundle_path, scenario,
-            request_timeout_s=budget, drain_timeout_s=0.1,
-        )
-        assert status == 504
-        assert payload["timeout_s"] == budget
-        assert elapsed < 2 * budget + 0.2, f"504 took {elapsed:.3f}s"
-
     def test_write_deadline_answers_504_and_degrades(self, bundle_path):
         fault_registry().set("pool.mid_apply", "delay:2.0")
 
@@ -752,51 +752,38 @@ class TestDegradedMode:
         assert stats["status"] == "degraded"
         assert stats["pool"]["failure"] is not None
 
-    def test_batch_failure_resolves_every_batchmate_with_structured_500(
-        self, bundle_path
-    ):
-        fault_registry().set("batcher.before_dispatch", "raise")
-
-        async def scenario(server):
-            async with _Client(server.port) as a, _Client(server.port) as b, \
-                    _Client(server.port) as c:
-                results = await asyncio.gather(
-                    a.request("POST", "/predict", {"node": 1}),
-                    b.request("POST", "/predict", {"node": 2}),
-                    c.request("POST", "/predict", {"node": 3}),
-                )
-                clear_faults()
-                # The connections survived the failed batch.
-                recovered = await a.request("POST", "/predict", {"node": 1})
-            return results, recovered
-
-        results, recovered = _serve(
-            bundle_path, scenario, batch_window_ms=30.0
-        )
-        for status, body, _ in results:
-            assert status == 500
-            assert body["type"] == "FaultInjected"
-            assert "injected fault" in body["error"]
-        assert recovered[0] == 200
-
     def test_draining_health_and_queued_future_resolution(self, bundle_path):
         async def scenario(server):
-            # A huge window parks the dispatcher mid-collection with one
-            # future in the half-built batch; shutdown must fail it rather
-            # than leak it.
-            server.batcher.window_s = 30.0
-            submission = asyncio.ensure_future(
-                server.batcher.submit({"nodes": [1], "output": "labels"})
-            )
-            await asyncio.sleep(0.05)
-            await server.batcher.stop(drain_timeout_s=0.1)
-            with pytest.raises(ServerDrainingError):
-                await submission
-            return server.status
+            async with _Client(server.port) as client, _Client(server.port) as other:
+                # A write admitted and queued behind the busy single writer.
+                await server._write_lock.acquire()
+                queued = asyncio.ensure_future(
+                    client.request("POST", "/compact", {})
+                )
+                while server.batcher.pending == 0:
+                    await asyncio.sleep(0.005)
+                health = (await other.request("GET", "/healthz"))[1]
+                assert health["queue_depth"] == 1
+                # Draining refuses new work at once but waits for the
+                # admitted write, which finishes once the writer frees up.
+                stop = asyncio.ensure_future(
+                    server.batcher.stop(drain_timeout_s=5.0)
+                )
+                await asyncio.sleep(0.02)
+                status, payload, _ = await other.request(
+                    "POST", "/predict", {"node": 0}
+                )
+                assert status == 503 and "draining" in payload["error"]
+                draining = (await other.request("GET", "/healthz"))[1]
+                assert not stop.done()
+                server._write_lock.release()
+                await stop
+                status, _, _ = await queued
+            return draining["status"], status, server.batcher.pending
 
-        status = _serve(bundle_path, scenario, drain_timeout_s=0.1)
-        # shutdown() ran in _serve's finally: the state machine reports it.
-        assert status in ("ok", "draining")
+        draining, status, pending = _serve(bundle_path, scenario)
+        assert draining == "draining"
+        assert status == 200 and pending == 0
 
     def test_healthz_reports_wal_and_checkpoint_state(self, bundle_path, tmp_path):
         async def scenario(server):
@@ -817,6 +804,51 @@ class TestDegradedMode:
         assert health["queue_depth"] == 0
         assert health["wal_depth"] == 1  # the tombstoning delete, uncheckpointed
         assert health["last_checkpoint_age_s"] >= 0.0
+
+
+class TestPayloadValidation:
+    @pytest.mark.parametrize("route", ["/insert", "/update"])
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [
+            ("nan", [[float("nan")] * 40]),
+            ("inf", [[float("inf")] + [0.0] * 39]),
+            ("columns", [[0.0] * 39]),
+            ("empty", []),
+        ],
+    )
+    def test_bad_features_answer_400_without_journalling(
+        self, bundle_path, tmp_path, route, kind, rows
+    ):
+        # Python's json parser accepts NaN and Infinity, so these payloads
+        # reach the server intact; none may reach the journal.
+        config = dict(
+            checkpoint_path=tmp_path / "ckpt.npz", wal_path=tmp_path / "mut.wal"
+        )
+        body = {"features": rows}
+        if route == "/update":
+            body["nodes"] = [3] if rows else []
+
+        async def scenario(server):
+            async with _Client(server.port) as client:
+                # A tombstoning delete keeps one record in the journal, so
+                # "unchanged" is checked against a non-empty WAL.
+                await client.request("POST", "/delete", {"nodes": [5]})
+                depth = server.pool.wal.depth
+                status, payload, _ = await client.request("POST", route, body)
+                health = (await client.request("GET", "/healthz"))[1]
+            return status, payload, health, depth
+
+        status, payload, health, depth = _serve(bundle_path, scenario, **config)
+        assert status == 400 and "features" in payload["error"], payload
+        assert health["status"] == "ok"
+        assert health["wal_depth"] == depth == 1
+
+        async def restarted(server):
+            return server.recovered, server.status, server.pool.last_seq
+
+        # The restart replays the delete and nothing else.
+        assert _serve(bundle_path, restarted, **config) == (1, "ok", 1)
 
 
 class TestServerRestart:
@@ -870,7 +902,7 @@ def test_cli_serve_survives_kill_dash_nine(bundle_path, tmp_path):
     argv = [
         sys.executable, "-m", "repro.cli", "serve",
         "--bundle", str(bundle_path), "--port", "0",
-        "--replicas", "1", "--checkpoint", str(ckpt), "--wal", str(wal),
+        "--checkpoint", str(ckpt), "--wal", str(wal),
     ]
 
     def start():

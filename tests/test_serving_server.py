@@ -1,22 +1,24 @@
-"""Tests of the batched async serving front-end (``repro.serving.server``).
+"""Tests of the asyncio serving front-end (``repro.serving.server``).
 
 The load-bearing guarantees pinned here:
 
-* :meth:`InferenceSession.fork` replicas are **bit-identical** to their
+* :meth:`InferenceSession.fork` copies are **bit-identical** to their
   parent and fully isolated from it (and from each other) afterwards;
-* a :class:`SessionPool`'s reader fleet stays bit-identical to a fresh
-  ``to_frozen()`` snapshot of its generation — before, during and after an
-  operator fan-out swap while the writer mutates, including when readers
-  run concurrently with the writer on worker threads;
-* the :class:`MicroBatcher` coalesces concurrent requests within the batch
-  window into one ``predict_batch`` dispatch, degrades to per-request
-  dispatch at window 0, maps per-request validation errors to the one
-  offending submitter, and sheds load (:class:`ServerOverloadedError`)
-  once ``max_queue_depth`` requests are pending;
+* a :class:`SessionPool`'s published :class:`ReadSnapshot` is bit-identical
+  to a fresh ``to_frozen()`` session of its generation — before and after a
+  publish while the writer mutates, including when readers slice it
+  concurrently with the writer on worker threads — and a snapshot held
+  across ``update_features``/``delete_nodes``/``compact`` never changes;
+* the :class:`MicroBatcher` read path maps per-request validation errors
+  to the one offending submitter and sheds load
+  (:class:`ServerOverloadedError`) once ``max_queue_depth`` admitted
+  requests are unanswered;
 * the HTTP front-end: every route round-trips JSON, responses are
-  bit-identical to a direct session on the same bundle, writes are
-  read-your-writes (a client sees its own insert immediately), draining
-  returns 503, and bad requests map to 400 without failing their batch;
+  bit-identical to a direct session on the same bundle, a read reports the
+  generation of the snapshot that answered it, writes are read-your-writes
+  (a client sees its own insert immediately), draining returns 503, bad
+  requests map to 400 without failing concurrent ones, a failing read
+  answers a structured 500, and oversized bodies get 413 unread;
 * ``repro.cli serve`` boots a real server process that answers HTTP.
 
 No pytest-asyncio here: each async scenario runs under ``asyncio.run``
@@ -45,7 +47,9 @@ from repro import (
     reset_default_engine,
 )
 from repro.errors import ConfigurationError
+from repro.serving import ReadSnapshot
 from repro.serving.server import (
+    MAX_BODY_BYTES,
     MicroBatcher,
     ServerConfig,
     ServerOverloadedError,
@@ -138,43 +142,43 @@ class TestFork:
 
 
 # --------------------------------------------------------------------------- #
-# SessionPool: fan-out swap bit-identity
+# SessionPool: published snapshot bit-identity
 # --------------------------------------------------------------------------- #
-class TestSessionPool:
-    def _replica_sessions(self, pool):
-        return [replica.session for replica in pool.replicas()]
+def _logits(pool):
+    return pool.acquire().answer(output="logits")
 
+
+class TestSessionPool:
     def test_readers_match_frozen_snapshot_across_swap(
         self, tiny_citation_dataset, bundle_path
     ):
-        # The satellite guarantee: N reader sessions are bit-identical to a
-        # fresh to_frozen() snapshot of their generation, before and after an
-        # operator fan-out swap, while the writer mutates in between.
+        # The published snapshot is bit-identical to a fresh to_frozen()
+        # session of its generation, before and after a publish swap, while
+        # the writer mutates in between.
         dataset = tiny_citation_dataset
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=3)
-        snapshot = InferenceSession(pool.writer.to_frozen())
-        reference = snapshot.predict(output="logits")
-        old_readers = self._replica_sessions(pool)
-        for session in old_readers:
-            assert np.array_equal(session.predict(output="logits"), reference)
+        pool = SessionPool(FrozenModel.load(bundle_path))
+        reference = InferenceSession(pool.writer.to_frozen()).predict(output="logits")
+        old_snapshot = pool.acquire()
+        assert np.array_equal(old_snapshot.answer(output="logits"), reference)
 
         pool.insert(_new_rows(dataset, 4))  # mutate + republish
-        new_snapshot = InferenceSession(pool.writer.to_frozen())
-        new_reference = new_snapshot.predict(output="logits")
+        new_reference = InferenceSession(pool.writer.to_frozen()).predict(
+            output="logits"
+        )
         assert new_reference.shape[0] == reference.shape[0] + 4
-        for session in self._replica_sessions(pool):
-            assert np.array_equal(session.predict(output="logits"), new_reference)
-        # Pre-swap readers still serve their own complete generation.
-        for session in old_readers:
-            assert np.array_equal(session.predict(output="logits"), reference)
+        assert np.array_equal(_logits(pool), new_reference)
+        assert pool.acquire().generation == old_snapshot.generation + 1
+        # A reader still holding the pre-swap snapshot serves its own
+        # complete generation.
+        assert np.array_equal(old_snapshot.answer(output="logits"), reference)
 
     def test_readers_stay_identical_while_writer_mutates_concurrently(
         self, tiny_citation_dataset, bundle_path
     ):
         dataset = tiny_citation_dataset
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=3)
+        pool = SessionPool(FrozenModel.load(bundle_path))
         reference = InferenceSession(pool.writer.to_frozen()).predict(output="logits")
-        readers = self._replica_sessions(pool)
+        held = pool.acquire()
         stop = False
 
         def churn():
@@ -186,46 +190,43 @@ class TestSessionPool:
                 pool.publish()
             return pool.generation
 
-        def read_loop(session):
+        def read_loop():
             checks = 0
             while not stop:
-                assert np.array_equal(session.predict(output="logits"), reference)
+                assert np.array_equal(held.answer(output="logits"), reference)
                 checks += 1
             return checks
 
         with ThreadPoolExecutor(max_workers=4) as executor:
-            futures = [executor.submit(read_loop, session) for session in readers]
+            futures = [executor.submit(read_loop) for _ in range(3)]
             generation = executor.submit(churn).result()
             stop = True
             for future in futures:
                 assert future.result() > 0
         assert generation == 5  # initial publish + 4 republishes
-        # The post-churn fleet serves the post-churn snapshot, bit-identically.
+        # The post-churn snapshot serves the post-churn state, bit-identically.
         final = InferenceSession(pool.writer.to_frozen()).predict(output="logits")
-        for session in self._replica_sessions(pool):
-            assert np.array_equal(session.predict(output="logits"), final)
+        assert np.array_equal(_logits(pool), final)
+        assert pool.acquire().generation == 5
 
     def test_delete_and_compact_republish(self, bundle_path):
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=2)
+        pool = SessionPool(FrozenModel.load(bundle_path))
         n_before = pool.writer.n_nodes
         result = pool.delete([2, 9])
         assert result["n_alive"] == n_before - 2 and result["tombstones"] == 2
-        for session in self._replica_sessions(pool):
-            with pytest.raises(ConfigurationError, match="deleted"):
-                session.predict([2])
-            assert np.array_equal(
-                session.predict(output="labels"), pool.writer.predict(output="labels")
-            )
+        snapshot = pool.acquire()
+        with pytest.raises(ConfigurationError, match="deleted"):
+            snapshot.answer([2])
+        assert np.array_equal(
+            snapshot.answer(output="labels"), pool.writer.predict(output="labels")
+        )
         result = pool.compact()
         assert result["n_nodes"] == n_before - 2
-        for session in self._replica_sessions(pool):
-            assert session.n_nodes == n_before - 2
+        assert pool.acquire().alive.shape == (n_before - 2,)
 
     def test_checkpoints_published_generations(self, tmp_path, bundle_path):
         checkpoint = tmp_path / "checkpoint.npz"
-        pool = SessionPool(
-            FrozenModel.load(bundle_path), replicas=1, checkpoint_path=checkpoint
-        )
+        pool = SessionPool(FrozenModel.load(bundle_path), checkpoint_path=checkpoint)
         assert checkpoint.exists() and pool.checkpoints == 1
         reference = pool.writer.predict(output="logits")
         warm = InferenceSession(FrozenModel.load(checkpoint))
@@ -238,95 +239,150 @@ class TestSessionPool:
 
 
 # --------------------------------------------------------------------------- #
-# MicroBatcher
+# ReadSnapshot: immutability, shared read code, failure isolation
+# --------------------------------------------------------------------------- #
+def _snapshot_bytes(snapshot):
+    return {
+        name: getattr(snapshot, name).tobytes()
+        for name in ("labels", "logits", "embeddings", "alive")
+    }
+
+
+class TestReadSnapshot:
+    @pytest.fixture(scope="class")
+    def one_layer_bundle(self, tiny_citation_dataset, tmp_path_factory):
+        """A one-layer DHGNN: its embeddings output is layer 0's input, i.e.
+        the very feature matrix the writer updates in place."""
+        reset_default_engine()
+        dataset = tiny_citation_dataset
+        model = DHGNN(dataset.n_features, dataset.n_classes, n_layers=1, seed=0)
+        trainer = Trainer(
+            model,
+            dataset,
+            TrainConfig(epochs=2, patience=None, neighbor_backend="incremental"),
+        )
+        trainer.train()
+        path = tmp_path_factory.mktemp("one_layer") / "bundle.npz"
+        trainer.export_frozen(str(path))
+        return path
+
+    @pytest.mark.parametrize("layers", ["two", "one"])
+    def test_snapshot_held_across_writer_churn_is_unchanged(
+        self, tiny_citation_dataset, bundle_path, one_layer_bundle, layers
+    ):
+        dataset = tiny_citation_dataset
+        pool = SessionPool(
+            FrozenModel.load(bundle_path if layers == "two" else one_layer_bundle)
+        )
+        held = pool.acquire()
+        before = _snapshot_bytes(held)
+        pool.update([0, 5], dataset.features[[0, 5]] + 0.5)
+        assert _snapshot_bytes(held) == before
+        pool.delete([3, 7])
+        assert _snapshot_bytes(held) == before
+        pool.compact()
+        assert _snapshot_bytes(held) == before
+        # The writer really moved on: the current snapshot differs.
+        assert pool.acquire().alive.shape[0] == held.alive.shape[0] - 2
+        with pytest.raises(ValueError, match="read-only"):
+            held.logits[0, 0] = 1.0
+
+    def test_session_predict_slices_the_same_snapshot(self, bundle_path):
+        session = InferenceSession(FrozenModel.load(bundle_path))
+        session.delete_nodes([4])
+        snapshot = session.read_snapshot()
+        assert isinstance(snapshot, ReadSnapshot)
+        assert snapshot is session.read_snapshot()  # built once per forward
+        for nodes in (None, [0, 3], 6):
+            for output in ("labels", "logits", "embeddings"):
+                assert np.array_equal(
+                    session.predict(nodes, output=output),
+                    snapshot.answer(nodes, output=output),
+                )
+        for bad in ([4], [10_000], 2.5):
+            with pytest.raises(ConfigurationError) as direct:
+                session.predict(bad)
+            with pytest.raises(ConfigurationError) as sliced:
+                snapshot.answer(bad)
+            assert str(direct.value) == str(sliced.value)
+
+    def test_raising_read_under_concurrency_answers_500(
+        self, bundle_path, monkeypatch
+    ):
+        # A failure inside the read path answers every concurrent request
+        # with a structured 500, releases its admission slot, and the very
+        # next read on the same connection succeeds.
+        direct = InferenceSession(FrozenModel.load(bundle_path))
+        original = ReadSnapshot.answer
+
+        def boom(self, nodes=None, output="labels"):
+            raise RuntimeError("snapshot read blew up")
+
+        async def scenario(server, client):
+            monkeypatch.setattr(ReadSnapshot, "answer", boom)
+            async with _Client(server.port) as second, _Client(server.port) as third:
+                failures = await asyncio.gather(
+                    client.request("POST", "/predict", {"node": 1}),
+                    second.request("POST", "/predict", {"node": 2}),
+                    third.request("POST", "/predict", {"node": 3}),
+                )
+            monkeypatch.setattr(ReadSnapshot, "answer", original)
+            for status, body in failures:
+                assert status == 500
+                assert body["type"] == "RuntimeError"
+                assert "blew up" in body["error"]
+            assert server.batcher.pending == 0
+            return await client.request("POST", "/predict", {"node": 0})
+
+        status, answer = TestServingServerHTTP()._serve(bundle_path, scenario)
+        assert status == 200 and answer["result"] == int(direct.predict(0))
+
+
+# --------------------------------------------------------------------------- #
+# MicroBatcher: the inline read path and admission control
 # --------------------------------------------------------------------------- #
 class TestMicroBatcher:
-    def _batcher(self, bundle_path, **kwargs):
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=1)
-        executor = ThreadPoolExecutor(max_workers=2)
-        kwargs.setdefault("window_s", 0.05)
-        kwargs.setdefault("max_batch_size", 64)
-        kwargs.setdefault("max_queue_depth", 128)
-        return pool, executor, MicroBatcher(pool, executor, **kwargs)
-
-    def test_concurrent_requests_coalesce_into_one_dispatch(self, bundle_path):
-        pool, executor, batcher = self._batcher(bundle_path)
-        direct = InferenceSession(FrozenModel.load(bundle_path))
-
-        async def scenario():
-            batcher.start()
-            results = await asyncio.gather(
-                *[
-                    batcher.submit({"nodes": [node], "output": "logits"})
-                    for node in range(10)
-                ]
-            )
-            await batcher.stop()
-            return results
-
-        results = asyncio.run(scenario())
-        for node, result in enumerate(results):
-            assert np.array_equal(result, direct.predict([node], output="logits"))
-        assert batcher.stats()["batches"] == 1
-        assert batcher.stats()["mean_batch_size"] == 10.0
-        executor.shutdown()
-
-    def test_window_zero_disables_coalescing(self, bundle_path):
-        pool, executor, batcher = self._batcher(bundle_path, window_s=0.0)
-
-        async def scenario():
-            batcher.start()
-            await asyncio.gather(
-                *[batcher.submit({"nodes": [node]}) for node in range(7)]
-            )
-            await batcher.stop()
-
-        asyncio.run(scenario())
-        stats = batcher.stats()
-        assert stats["batches"] == 7 and stats["max_batch_size"] == 1
-        executor.shutdown()
+    def _batcher(self, bundle_path, max_queue_depth=128):
+        pool = SessionPool(FrozenModel.load(bundle_path))
+        return pool, MicroBatcher(pool, max_queue_depth=max_queue_depth)
 
     def test_one_bad_request_fails_only_its_submitter(self, bundle_path):
-        pool, executor, batcher = self._batcher(bundle_path)
+        pool, batcher = self._batcher(bundle_path)
         direct = InferenceSession(FrozenModel.load(bundle_path))
 
         async def scenario():
-            batcher.start()
-            results = await asyncio.gather(
+            return await asyncio.gather(
                 batcher.submit({"nodes": [3]}),
                 batcher.submit({"nodes": 7.5}),
                 batcher.submit({"nodes": [5], "output": "logits"}),
                 return_exceptions=True,
             )
-            await batcher.stop()
-            return results
 
         good, bad, also_good = asyncio.run(scenario())
-        assert np.array_equal(good, direct.predict([3]))
+        assert np.array_equal(good[0], direct.predict([3]))
+        assert good[1] == pool.generation
         assert isinstance(bad, ConfigurationError) and "7.5" in str(bad)
-        assert np.array_equal(also_good, direct.predict([5], output="logits"))
-        assert batcher.stats()["batches"] == 1  # they shared one dispatch
-        executor.shutdown()
+        assert np.array_equal(also_good[0], direct.predict([5], output="logits"))
+        assert batcher.stats() == {"requests": 2, "rejected": 0, "pending": 0}
 
     def test_queue_depth_sheds_load(self, bundle_path):
-        pool, executor, batcher = self._batcher(bundle_path, max_queue_depth=2)
+        pool, batcher = self._batcher(bundle_path, max_queue_depth=2)
 
         async def scenario():
-            # The dispatcher is NOT started: submissions park in the queue.
-            first = asyncio.ensure_future(batcher.submit({"nodes": [0]}))
-            second = asyncio.ensure_future(batcher.submit({"nodes": [1]}))
-            await asyncio.sleep(0)
-            with pytest.raises(ServerOverloadedError, match="full"):
-                await batcher.submit({"nodes": [2]})
-            assert batcher.stats()["rejected"] == 1
-            # Draining the queue re-admits new work.
-            batcher.start()
-            await asyncio.gather(first, second)
+            # Two admitted requests still unanswered (writes queued on the
+            # single writer): the cap is reached for reads and writes alike.
+            with batcher.admit(), batcher.admit():
+                with pytest.raises(ServerOverloadedError, match="full"):
+                    await batcher.submit({"nodes": [2]})
+                with pytest.raises(ServerOverloadedError, match="full"):
+                    with batcher.admit():
+                        pass
+                assert batcher.stats()["rejected"] == 2
+            # Answering them re-admits new work.
             await batcher.submit({"nodes": [2]})
-            await batcher.stop()
+            assert batcher.pending == 0
 
         asyncio.run(scenario())
-        executor.shutdown()
 
 
 # --------------------------------------------------------------------------- #
@@ -371,8 +427,6 @@ class _Client:
 class TestServingServerHTTP:
     def _serve(self, bundle_path, scenario, **config_kwargs):
         config_kwargs.setdefault("port", 0)
-        config_kwargs.setdefault("replicas", 2)
-        config_kwargs.setdefault("batch_window_ms", 2.0)
 
         async def run():
             server = ServingServer(
@@ -417,7 +471,7 @@ class TestServingServerHTTP:
             status, stats = await client.request("GET", "/stats")
             assert status == 200
             assert stats["batcher"]["requests"] == 3
-            assert stats["pool"]["replicas"] == 2
+            assert stats["pool"]["generation"] == 1
 
         self._serve(bundle_path, scenario)
 
@@ -463,7 +517,7 @@ class TestServingServerHTTP:
             assert good[1]["result"] == direct.predict([1, 2]).tolist()
             assert bad[0] == 400 and "2.5" in bad[1]["error"]
 
-        self._serve(bundle_path, scenario, batch_window_ms=25.0)
+        self._serve(bundle_path, scenario)
 
     def test_writes_are_read_your_writes(self, tiny_citation_dataset, bundle_path):
         dataset = tiny_citation_dataset
@@ -477,7 +531,7 @@ class TestServingServerHTTP:
             new_ids = inserted["ids"]
             assert len(new_ids) == 2
 
-            # The very next read sees the insert (new replicas already live).
+            # The very next read sees the insert (its snapshot is already live).
             status, answer = await client.request(
                 "POST", "/predict", {"nodes": new_ids}
             )
@@ -529,7 +583,7 @@ class TestServingServerHTTP:
 
     def test_draining_returns_503(self, bundle_path):
         async def scenario(server, client):
-            server._draining = True
+            server.batcher.draining = True
             status, payload = await client.request("POST", "/predict", {"node": 0})
             assert status == 503 and "draining" in payload["error"]
             status, health = await client.request("GET", "/healthz")
@@ -539,151 +593,99 @@ class TestServingServerHTTP:
 
     def test_overload_returns_429(self, bundle_path):
         async def scenario(server, client):
-            # Stop the dispatcher so admitted requests park in the queue.
-            server.batcher._dispatcher.cancel()
-            await asyncio.sleep(0)
-            pending = [
-                asyncio.ensure_future(server.batcher.submit({"nodes": [i]}))
-                for i in range(2)
-            ]
-            await asyncio.sleep(0)
-            status, payload = await client.request("POST", "/predict", {"node": 0})
-            assert status == 429 and "full" in payload["error"]
-            for future in pending:
-                future.cancel()
-            server.batcher.pending = 0
+            # Hold both admission slots, as two writes queued on the single
+            # writer would: the next request is shed at admission.
+            with server.batcher.admit(), server.batcher.admit():
+                status, payload = await client.request("POST", "/predict", {"node": 0})
+                assert status == 429 and "full" in payload["error"]
+                status, payload = await client.request("POST", "/compact", {})
+                assert status == 429 and "full" in payload["error"]
+            status, _ = await client.request("POST", "/predict", {"node": 0})
+            assert status == 200
 
         self._serve(bundle_path, scenario, max_queue_depth=2)
 
+    def test_read_racing_a_publish_reports_its_generation(
+        self, tiny_citation_dataset, bundle_path
+    ):
+        # Whole-set logits reads race a writer's publishes; every read must
+        # equal exactly the state of the generation it reports, replayed on
+        # a direct session.
+        dataset = tiny_citation_dataset
+        rng = np.random.default_rng(12)
+        updates = [
+            (sorted(rng.choice(dataset.n_nodes, 3, replace=False).tolist()),
+             rng.normal(size=(3, dataset.n_features)).tolist())
+            for _ in range(5)
+        ]
+        replay = InferenceSession(FrozenModel.load(bundle_path))
+        states = {1: replay.predict(output="logits")}
+        for generation, (nodes, rows) in enumerate(updates, start=2):
+            replay.update_features(nodes, np.asarray(rows))
+            states[generation] = replay.predict(output="logits")
+
+        async def scenario(server, client):
+            done = False
+            reads = []
+
+            async def write():
+                nonlocal done
+                for nodes, rows in updates:
+                    status, _ = await client.request(
+                        "POST", "/update", {"nodes": nodes, "features": rows}
+                    )
+                    assert status == 200
+                done = True
+
+            async def read():
+                async with _Client(server.port) as reader:
+                    while not done:
+                        status, answer = await reader.request(
+                            "POST", "/predict", {"nodes": None, "output": "logits"}
+                        )
+                        assert status == 200
+                        reads.append(answer)
+
+            await asyncio.gather(write(), read())
+            return reads
+
+        reads = self._serve(bundle_path, scenario)
+        seen = {answer["generation"] for answer in reads}
+        assert len(seen) > 1, seen  # the reads really overlapped the writes
+        for answer in reads:
+            expected = states[answer["generation"]]
+            got = np.asarray(answer["result"], dtype=expected.dtype)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_oversized_body_is_refused_unread(self, bundle_path):
+        async def scenario(server, client):
+            client.writer.write(
+                (
+                    f"POST /insert HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+                ).encode()
+            )
+            head = await client.reader.readuntil(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 413 Payload Too Large")
+            assert b"Connection: close" in head
+            marker = head.index(b"Content-Length: ") + 16
+            body = await client.reader.readexactly(
+                int(head[marker : head.index(b"\r", marker)])
+            )
+            assert "limit" in json.loads(body)["error"]
+            # The server closed the connection without waiting for the body.
+            assert await client.reader.read() == b""
+            assert server.pool.generation == 1
+
+        self._serve(bundle_path, scenario)
+
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError, match="replicas"):
-            ServerConfig(replicas=0)
-        with pytest.raises(ConfigurationError, match="batch_window_ms"):
-            ServerConfig(batch_window_ms=-1.0)
-        with pytest.raises(ConfigurationError, match="max_batch_size"):
-            ServerConfig(max_batch_size=0)
         with pytest.raises(ConfigurationError, match="max_queue_depth"):
             ServerConfig(max_queue_depth=0)
-
-
-# --------------------------------------------------------------------------- #
-# SessionPool.acquire: exception safety + round-robin fairness
-# --------------------------------------------------------------------------- #
-class TestAcquireRegression:
-    """A raising request handler must never leak a permanently-busy replica,
-    and the round-robin cursor must advance past the replica actually chosen
-    (not blindly by one) so a skipped-over busy replica doesn't make the next
-    pick land on the same neighbour forever."""
-
-    def test_raising_handler_never_leaks_a_busy_replica(self, bundle_path):
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=2)
-
-        async def scenario():
-            async def request(i):
-                async with pool.acquire() as session:
-                    await asyncio.sleep(0)
-                    if i % 2:
-                        raise RuntimeError("handler blew up")
-                    return session.predict([0])
-
-            results = await asyncio.gather(
-                *[request(i) for i in range(20)], return_exceptions=True
-            )
-            assert sum(isinstance(r, RuntimeError) for r in results) == 10
-            # No replica is left locked, and the fleet still serves.
-            assert all(not replica.lock.locked() for replica in pool.replicas())
-            async with pool.acquire() as session:
-                session.predict([0])
-
-        asyncio.run(scenario())
-
-    def test_raising_predict_batch_under_concurrency(self, bundle_path):
-        # End-to-end through the MicroBatcher: predict_batch itself blowing
-        # up fails every submitter of the batch but releases the replica, so
-        # the very next request succeeds on the same fleet.
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=2)
-        executor = ThreadPoolExecutor(max_workers=2)
-        batcher = MicroBatcher(
-            pool, executor, window_s=0.02, max_batch_size=64, max_queue_depth=128
-        )
-        originals = [replica.session.predict_batch for replica in pool.replicas()]
-
-        def boom(requests, on_error="return"):
-            raise RuntimeError("replica died mid-batch")
-
-        async def scenario():
-            batcher.start()
-            for replica in pool.replicas():
-                replica.session.predict_batch = boom
-            failures = await asyncio.gather(
-                *[batcher.submit({"nodes": [i]}) for i in range(8)],
-                return_exceptions=True,
-            )
-            assert all(isinstance(f, RuntimeError) for f in failures)
-            assert all(not replica.lock.locked() for replica in pool.replicas())
-            for replica, original in zip(pool.replicas(), originals):
-                replica.session.predict_batch = original
-            recovered = await batcher.submit({"nodes": [0]})
-            await batcher.stop()
-            return recovered
-
-        recovered = asyncio.run(scenario())
-        direct = InferenceSession(FrozenModel.load(bundle_path))
-        assert np.array_equal(recovered, direct.predict([0]))
-        executor.shutdown()
-
-    def test_round_robin_cycles_all_replicas(self, bundle_path):
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=3)
-
-        async def scenario():
-            for _ in range(9):
-                async with pool.acquire():
-                    pass
-
-        asyncio.run(scenario())
-        assert [replica.served for replica in pool.replicas()] == [3, 3, 3]
-
-    def test_round_robin_stays_fair_around_a_busy_replica(self, bundle_path):
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=3)
-
-        async def scenario():
-            blocked = pool.replicas()[0]
-            await blocked.lock.acquire()  # replica 0 wedged for the duration
-            try:
-                for _ in range(8):
-                    async with pool.acquire():
-                        pass
-            finally:
-                blocked.lock.release()
-
-        asyncio.run(scenario())
-        served = [replica.served for replica in pool.replicas()]
-        assert served[0] == 0
-        # The two free replicas split the work evenly — the cursor advances
-        # past the chosen replica, it does not keep re-landing on one.
-        assert sum(served[1:]) == 8 and abs(served[1] - served[2]) <= 1
-
-    def test_all_busy_acquire_waits_instead_of_failing(self, bundle_path):
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=2)
-
-        async def scenario():
-            for replica in pool.replicas():
-                await replica.lock.acquire()
-
-            async def late_request():
-                async with pool.acquire() as session:
-                    return session.predict([1])
-
-            waiter = asyncio.ensure_future(late_request())
-            await asyncio.sleep(0)
-            assert not waiter.done()  # parked, not errored
-            for replica in pool.replicas():
-                replica.lock.release()
-            return await asyncio.wait_for(waiter, timeout=5)
-
-        result = asyncio.run(scenario())
-        direct = InferenceSession(FrozenModel.load(bundle_path))
-        assert np.array_equal(result, direct.predict([1]))
+        with pytest.raises(ConfigurationError, match="write_timeout_s"):
+            ServerConfig(write_timeout_s=0.0)
+        with pytest.raises(ConfigurationError, match="shards"):
+            ServerConfig(shards=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -740,22 +742,19 @@ class TestShardedServing:
 
         # A pool over the saved bundle auto-detects the shard map: the
         # writer comes back sharded without any explicit shards= argument.
-        pool = SessionPool(FrozenModel.load(out), replicas=2)
+        pool = SessionPool(FrozenModel.load(out))
         assert isinstance(pool.writer, ShardedSession)
         assert isinstance(pool.writer.backend, ShardedBackend)
         assert pool.stats()["writer"]["sharded"] is True
         assert np.array_equal(pool.writer.predict(output="logits"), reference)
-        for replica in pool.replicas():
-            assert np.array_equal(
-                replica.session.predict(output="logits"), reference
-            )
+        assert np.array_equal(_logits(pool), reference)
 
     def test_sharded_pool_matches_unsharded_pool_bit_for_bit(
         self, tiny_citation_dataset, bundle_path
     ):
         dataset = tiny_citation_dataset
-        plain = SessionPool(FrozenModel.load(bundle_path), replicas=2)
-        sharded = SessionPool(FrozenModel.load(bundle_path), replicas=2, shards=4)
+        plain = SessionPool(FrozenModel.load(bundle_path))
+        sharded = SessionPool(FrozenModel.load(bundle_path), shards=4)
         assert sharded.stats()["writer"]["sharded"] is True
         assert plain.stats()["writer"]["sharded"] is False
 
@@ -768,10 +767,7 @@ class TestShardedServing:
         sharded.compact()
         expected = plain.writer.predict(output="logits")
         assert np.array_equal(sharded.writer.predict(output="logits"), expected)
-        for replica in sharded.replicas():
-            assert np.array_equal(
-                replica.session.predict(output="logits"), expected
-            )
+        assert np.array_equal(_logits(sharded), expected)
 
     def test_http_serving_with_shards(self, tiny_citation_dataset, bundle_path):
         dataset = tiny_citation_dataset
@@ -822,7 +818,7 @@ class TestServeCLI:
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
-                "--bundle", str(bundle_path), "--port", "0", "--replicas", "1",
+                "--bundle", str(bundle_path), "--port", "0",
             ],
             stderr=subprocess.PIPE,
             text=True,
