@@ -24,7 +24,10 @@ default) and on without ``fsync``.  Journalling happens *before* every
 apply, so its cost rides the write path's critical section; the asserted
 ceiling states the durability budget: fsync'd journalling must keep at
 least ``1/3`` of the unjournalled write throughput (in practice the
-mutation's refresh + forward + republish dwarfs the fsync).
+mutation's refresh + forward + republish dwarfs the fsync).  A
+report-only ``on+checkpoint`` row adds a checkpoint per publish (the
+``repro serve --wal --checkpoint`` write path); every row also reports
+process CPU per write and the row's checkpoint size.
 
 **Instrumentation overhead (asserted).**  The inline read load, run
 back-to-back under the live process-wide metrics registry and under a
@@ -388,25 +391,48 @@ def _measure_overhead(bundle: Path) -> list[dict]:
 # Part 4: WAL on/off write throughput (asserted)
 # --------------------------------------------------------------------------- #
 def _measure_write_throughput(
-    bundle: Path, tmp_dir: Path, *, label: str, wal: bool, fsync: bool = True
+    bundle: Path,
+    tmp_dir: Path,
+    *,
+    label: str,
+    wal: bool,
+    fsync: bool = True,
+    checkpoint: bool = False,
 ) -> dict:
-    """Single-writer update loop; journalling rides the critical section."""
+    """Single-writer update loop; journalling rides the critical section.
+
+    With ``checkpoint`` every publish also writes a checkpoint bundle, the
+    ``repro serve --wal --checkpoint`` write path.
+    """
     wal_path = tmp_dir / f"bench_{label}.wal" if wal else None
-    pool = SessionPool(FrozenModel.load(bundle), wal_path=wal_path, wal_fsync=fsync)
+    checkpoint_path = tmp_dir / f"bench_{label}.npz" if checkpoint else None
+    pool = SessionPool(
+        FrozenModel.load(bundle),
+        wal_path=wal_path,
+        wal_fsync=fsync,
+        checkpoint_path=checkpoint_path,
+    )
     rng = np.random.default_rng(17)
     n_cols = pool.writer.features.shape[1]
     pool.update([0, 1], rng.normal(size=(2, n_cols)))  # warm-up
     start = time.perf_counter()
+    cpu_start = time.process_time()
     for _ in range(WAL_WRITE_OPS):
         nodes = rng.choice(N_NODES, 2, replace=False)
         pool.update(
             sorted(int(node) for node in nodes), rng.normal(size=(2, n_cols))
         )
+    cpu = time.process_time() - cpu_start
     elapsed = time.perf_counter() - start
+    checkpoint_bytes = pool.checkpoint_bytes
     result = {
         "wal": label,
         "writes_per_s": WAL_WRITE_OPS / elapsed,
         "mean_ms": elapsed / WAL_WRITE_OPS * 1e3,
+        "cpu_ms_per_write": cpu / WAL_WRITE_OPS * 1e3,
+        "checkpoint_mb": (
+            checkpoint_bytes / 2**20 if checkpoint_bytes is not None else None
+        ),
         "wal_depth": pool.wal.depth if pool.wal is not None else 0,
     }
     pool.close()
@@ -478,15 +504,21 @@ def main() -> None:
             _measure_write_throughput(
                 bundle, Path(tmp), label="on-nofsync", wal=True, fsync=False
             ),
+            # Report-only: the checkpoint's cost, which the gate never sees.
+            _measure_write_throughput(
+                bundle, Path(tmp), label="on+checkpoint", wal=True, checkpoint=True
+            ),
         ]
         wal_table = ResultTable(
-            ["WAL", "writes/s", "mean write (ms)"],
+            ["WAL", "writes/s", "mean write (ms)", "CPU ms/write", "checkpoint (MB)"],
             title=f"Write throughput: WAL off vs fsync'd journalling "
                   f"({WAL_WRITE_OPS} single-writer updates)",
         )
         for row in wal_rows:
             wal_table.add_row(
-                [row["wal"], round(row["writes_per_s"], 1), round(row["mean_ms"], 3)]
+                [row["wal"], round(row["writes_per_s"], 1), round(row["mean_ms"], 3),
+                 round(row["cpu_ms_per_write"], 3),
+                 "-" if row["checkpoint_mb"] is None else round(row["checkpoint_mb"], 3)]
             )
         emit(wal_table, "bench_serving_wal",
              extra={"mode": mode, "rows": wal_rows,

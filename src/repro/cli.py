@@ -599,6 +599,7 @@ def _command_stats(args: argparse.Namespace) -> int:
         print()
         _print_kv_block("pool", {
             "checkpoints": pool.get("checkpoints"),
+            "checkpoint_bytes": pool.get("checkpoint_bytes"),
             "last_seq": pool.get("last_seq"),
             "failure": pool.get("failure"),
         })

@@ -5,9 +5,11 @@ The serving layer turns a trained model into a deployable artefact:
 * :class:`FrozenModel` — compiles a model into a no-grad, policy-dtype
   forward plan reusing the already-resolved propagation operators; logits
   are bit-identical to ``Trainer`` evaluation;
-* :class:`OperatorStore` — one-file persistence of operators, weights and
-  incremental neighbour state, so server restarts (and repeated sweeps)
-  skip cold topology rebuilds entirely;
+* :class:`OperatorStore` — one-file persistence of keyed operators, array
+  groups and metadata; a serving bundle stores weights, topology and
+  incremental neighbour state (load rebuilds the operators from the
+  topology), so server restarts (and repeated sweeps) skip cold k-NN
+  rebuilds entirely;
 * :class:`InferenceSession` — batched queries plus the full online
   node lifecycle through scoped incremental topology repairs: feature
   updates, insertion, deletion (lazy tombstoning), compaction (physical

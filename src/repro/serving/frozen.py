@@ -21,12 +21,14 @@ split into their k-NN / cluster / static parts plus the neighbour backend —
 which is what :class:`repro.serving.InferenceSession` uses to repair the
 topology incrementally when nodes are inserted, updated or deleted, instead
 of rebuilding it.  :meth:`FrozenModel.save` / :meth:`FrozenModel.load`
-round-trip everything through an :class:`repro.serving.OperatorStore`, so a
+round-trip the plan through an :class:`repro.serving.OperatorStore`: the
+bundle persists topology state (hypergraphs, cluster memberships, neighbour
+state), and load rebuilds the propagation operators from it, so a
 restarted server answers its first request without a single k-NN distance
 computation — and since a churned session can be snapshotted back into a
 frozen model (:meth:`InferenceSession.to_frozen`), the same machinery
 round-trips post-deletion state: insert / delete / compact, checkpoint, and
-the restored process carries the compacted features, operators and
+the restored process carries the compacted features, topology and
 neighbour state.
 """
 
@@ -51,7 +53,11 @@ from repro.hypergraph.sharding import ShardedBackend
 from repro.precision import precision as precision_scope
 from repro.serving.store import OperatorStore, pack_hypergraph, unpack_hypergraph
 
-_SERVING_FORMAT = "repro-serving-bundle/v1"
+#: Bundle layout written by :meth:`FrozenModel.save`: topology state only.
+_SERVING_FORMAT = "repro-serving-bundle/v2"
+#: Older layouts :meth:`FrozenModel.load` still reads (v1 also stored the
+#: derived propagation operators, which load ignores).
+_LEGACY_FORMATS = ("repro-serving-bundle/v1",)
 
 
 def backend_from_cache_key(key: tuple | list) -> NeighborBackend:
@@ -587,9 +593,12 @@ class FrozenModel:
     def save(self, path: str | Any) -> Any:
         """Write the compiled plan as an operator-store bundle (``.npz``).
 
-        The bundle contains the feature matrix, layer weights, resolved
-        operators, per-slot topology parts and the neighbour backend's
-        incremental state — a loading process serves its first prediction
+        The bundle contains the feature matrix, layer weights, per-slot
+        topology parts (pooled hypergraph, cluster memberships, static part),
+        the static and reweighted static hypergraphs and the neighbour
+        backend's incremental state.  It holds no propagation operators:
+        each one is a pure function of a stored hypergraph, so :meth:`load`
+        rebuilds them — a loading process still serves its first prediction
         with zero k-NN distance computations and can keep inserting nodes
         incrementally.  Only the dedicated DHGNN/DHGCN plans are bundleable
         — a generic module plan raises
@@ -613,8 +622,6 @@ class FrozenModel:
                 if bias is not None:
                     weight_group[f"layer{index}.bias"] = bias
             store.put_group("weights", weight_group)
-            for index, operator in enumerate(plan.operators):
-                store.put_operator(("layer", index), operator)
         elif isinstance(plan, _DHGCNPlan):
             meta["n_layers"] = plan.n_layers
             meta["fusions"] = [block["fusion"] for block in plan.blocks]
@@ -626,11 +633,6 @@ class FrozenModel:
                     if block[field] is not None:
                         weight_group[f"block{index}.{field}"] = block[field]
             store.put_group("weights", weight_group)
-            if plan.static_operator is not None:
-                store.put_operator(("static",), plan.static_operator)
-            for index, operator in enumerate(plan.dynamic_operators):
-                if operator is not None:
-                    store.put_operator(("dynamic", index), operator)
             static_group: dict[str, np.ndarray] = {}
             if plan.static_hypergraph is not None:
                 static_group.update(pack_hypergraph(plan.static_hypergraph, prefix="static."))
@@ -680,6 +682,15 @@ class FrozenModel:
     ) -> "FrozenModel":
         """Reconstruct a frozen model from a bundle written by :meth:`save`.
 
+        The propagation operators are rebuilt from the stored slot and static
+        hypergraphs through the refresh engine — the same
+        ``refresh_operator`` / ``propagation_operator`` calls a session's
+        refresh makes — so they land in the engine cache under the keys the
+        first refresh looks up, and are bit-identical to the operators of the
+        saving plan (the operator is a pure function of the hypergraph).  A
+        ``v1`` bundle, which also stored the operators, loads through the same
+        path; its stored operators are ignored.
+
         ``backend`` overrides the bundled neighbour backend (it must share
         the captured ``cache_key()`` for incremental state to restore).
         A file that is not a serving bundle raises
@@ -687,10 +698,17 @@ class FrozenModel:
         """
         store = OperatorStore.load(path)
         meta = store.meta
-        if meta.get("format") != _SERVING_FORMAT:
+        if meta.get("format") not in (_SERVING_FORMAT, *_LEGACY_FORMATS):
             raise ConfigurationError(f"{path} is not a serving bundle")
         precision = meta["precision"]
+        dtype = np.dtype(precision)
         features = store.get_group("features")["features"]
+
+        if backend is None:
+            backend = backend_from_cache_key(meta["backend"]["cache_key"])
+        if backend.cache_key()[0] == meta["backend"]["cache_key"][0]:
+            store.restore_backend(backend)
+        engine = TopologyRefreshEngine.for_model(backend=backend)
 
         slots = []
         for entry in meta["slots"]:
@@ -716,21 +734,24 @@ class FrozenModel:
                     temperature=float(entry["temperature"]),
                 )
             )
+        n_layers = int(meta["n_layers"])
+        slot_operators: list[sp.csr_matrix | None] = [None] * n_layers
+        for slot in slots:
+            slot_operators[slot.position] = engine.refresh_operator(
+                None, slot.hypergraph, dtype=dtype
+            )
 
         if meta["plan"] == "dhgnn":
             weight_group = store.get_group("weights")
             weights = []
-            for index in range(int(meta["n_layers"])):
+            for index in range(n_layers):
                 weights.append(
                     (
                         weight_group[f"layer{index}.weight"],
                         weight_group.get(f"layer{index}.bias"),
                     )
                 )
-            operators = [
-                store.get_operator(("layer", index)) for index in range(int(meta["n_layers"]))
-            ]
-            plan: Any = _DHGNNPlan(weights, operators, slots)
+            plan: Any = _DHGNNPlan(weights, slot_operators, slots)
         elif meta["plan"] == "dhgcn":
             weight_group = store.get_group("weights")
             blocks = []
@@ -745,15 +766,6 @@ class FrozenModel:
                         "gate": weight_group.get(f"block{index}.gate"),
                     }
                 )
-            static_operator = (
-                store.get_operator(("static",)) if store.has_operator(("static",)) else None
-            )
-            dynamic_operators = [
-                store.get_operator(("dynamic", index))
-                if store.has_operator(("dynamic", index))
-                else None
-                for index in range(int(meta["n_layers"]))
-            ]
             static_hypergraph = reweighted_static = None
             if store.has_group("static_hypergraphs"):
                 static_group = store.get_group("static_hypergraphs")
@@ -761,10 +773,20 @@ class FrozenModel:
                     static_hypergraph = unpack_hypergraph(static_group, prefix="static.")
                 if any(key.startswith("reweighted.") for key in static_group):
                     reweighted_static = unpack_hypergraph(static_group, prefix="reweighted.")
+            # The static channel convolves over the reweighted hypergraph once
+            # a refresh has reweighted it, over the plain one before that, and
+            # does not exist without a static hypergraph.
+            static_operator = None
+            if reweighted_static is not None:
+                static_operator = engine.refresh_operator(
+                    None, reweighted_static, dtype=dtype
+                )
+            elif static_hypergraph is not None:
+                static_operator = engine.propagation_operator(static_hypergraph, dtype=dtype)
             plan = _DHGCNPlan(
                 blocks,
                 static_operator,
-                dynamic_operators,
+                slot_operators,
                 slots,
                 static_hypergraph=static_hypergraph,
                 reweighted_static=reweighted_static,
@@ -774,11 +796,6 @@ class FrozenModel:
         else:
             raise ConfigurationError(f"unknown plan kind {meta['plan']!r}")
 
-        if backend is None:
-            backend = backend_from_cache_key(meta["backend"]["cache_key"])
-        if backend.cache_key()[0] == meta["backend"]["cache_key"][0]:
-            store.restore_backend(backend)
-        engine = TopologyRefreshEngine.for_model(backend=backend)
         return cls(
             plan, features, precision, engine=engine, meta=dict(meta.get("model_meta", {}))
         )

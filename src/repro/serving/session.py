@@ -736,9 +736,11 @@ class InferenceSession:
         The node-lifecycle round-trip: a long-running session that has
         inserted, updated, deleted and compacted nodes is frozen back into a
         bundleable model — ``session.to_frozen().save(path)`` persists the
-        current features, refreshed operators, topology parts and incremental
-        neighbour state, and a session loaded from that bundle answers
-        bit-identically with zero k-NN distance computations.  Requires a
+        current features, topology parts and incremental neighbour state
+        (the snapshot carries the refreshed operators, which load rebuilds
+        from the topology instead of reading them), and a session loaded
+        from that bundle answers bit-identically with zero k-NN distance
+        computations.  Requires a
         compacted session (tombstones are session-internal laziness, not a
         bundleable state) and a dedicated DHGNN/DHGCN plan — violating
         either raises :class:`~repro.errors.ConfigurationError`.

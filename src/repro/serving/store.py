@@ -5,8 +5,7 @@ serving process needs to start *warm*:
 
 * **keyed sparse operators** — entries of a
   :class:`repro.hypergraph.refresh.OperatorCache` (or any other
-  tuple-of-builtins-keyed CSR matrices, e.g. a frozen model's resolved
-  per-layer operators).  Keys round-trip through ``repr`` /
+  tuple-of-builtins-keyed CSR matrices).  Keys round-trip through ``repr`` /
   ``ast.literal_eval`` and stay valid across processes because
   :meth:`Hypergraph.fingerprint` uses process-stable hashes;
 * **named array groups** — dense state (model weights, feature matrices,
@@ -23,7 +22,10 @@ Two workflows build on it:
   :meth:`~repro.serving.FrozenModel.load` bundle the compiled plan through a
   store, so a server restart performs **zero** k-NN distance computations
   before its first prediction (asserted via
-  :data:`repro.hypergraph.knn.DISTANCE_COUNTERS`).
+  :data:`repro.hypergraph.knn.DISTANCE_COUNTERS`).  A serving bundle uses
+  array groups and metadata only: it stores the topology (hypergraphs,
+  cluster memberships, neighbour state), and load rebuilds the propagation
+  operators from it.
 """
 
 from __future__ import annotations
@@ -121,18 +123,6 @@ class OperatorStore:
             raise ConfigurationError(f"operator keys must be tuples, got {type(key)!r}")
         _validate_key_literal(key)
         self._operators[key] = matrix.tocsr()
-
-    def get_operator(self, key: tuple) -> sp.csr_matrix:
-        """The stored operator for ``key``; raises KeyError when absent."""
-        if key not in self._operators:
-            raise KeyError(f"operator store has no entry for key {key!r}")
-        return self._operators[key]
-
-    def has_operator(self, key: tuple) -> bool:
-        return key in self._operators
-
-    def operator_keys(self) -> list[tuple]:
-        return list(self._operators)
 
     # ------------------------------------------------------------------ #
     # Array groups

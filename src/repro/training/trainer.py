@@ -297,11 +297,12 @@ class Trainer:
         Returns a :class:`repro.serving.FrozenModel` whose logits are
         bit-identical to this trainer's evaluation forward.  With ``path``
         given, the incremental neighbour state is first primed against the
-        evaluation embeddings and the whole plan — weights, resolved
-        operators, topology slots, backend state — is written as one ``.npz``
-        bundle, so a serving process starts warm (zero k-NN distance
-        computations before its first prediction) and keeps inserting nodes
-        incrementally.  See :mod:`repro.serving`.
+        evaluation embeddings and the plan's state — weights, topology
+        slots, static hypergraphs, backend state — is written as one ``.npz``
+        bundle.  The propagation operators are not stored: loading rebuilds
+        them from the topology, so a serving process starts warm (zero k-NN
+        distance computations before its first prediction) and keeps
+        inserting nodes incrementally.  See :mod:`repro.serving`.
         """
         from repro.serving import FrozenModel
 

@@ -454,15 +454,20 @@ class TestServerTelemetry:
                     await client.request("POST", "/insert", {"features": rows})
                 )[0] == 200
                 status, body, headers = await client.request("GET", "/metrics")
-            return status, body.decode("utf-8"), headers
+                stats = (await client.request("GET", "/stats"))[1]
+            return status, body.decode("utf-8"), headers, stats
 
-        status, text, headers = _serve(
+        status, text, headers, stats = _serve(
             bundle_path,
             scenario,
             wal_path=tmp_path / "mut.wal",
             checkpoint_path=tmp_path / "ckpt.npz",
         )
         assert status == 200
+        # The size of the last checkpoint, in /metrics and /stats alike.
+        checkpoint_bytes = (tmp_path / "ckpt.npz").stat().st_size
+        assert stats["pool"]["checkpoint_bytes"] == checkpoint_bytes
+        assert f"\nrepro_checkpoint_bytes {checkpoint_bytes}\n" in text
         assert headers["content-type"].startswith("text/plain; version=0.0.4")
         families = set()
         for line in text.rstrip("\n").split("\n"):
@@ -482,6 +487,7 @@ class TestServerTelemetry:
             "repro_wal_append_seconds",
             "repro_wal_depth",
             "repro_checkpoint_seconds",
+            "repro_checkpoint_bytes",
             "repro_checkpoint_age_seconds",
             "repro_uptime_seconds",
             "repro_generation",
@@ -519,6 +525,7 @@ class TestServerTelemetry:
         assert stats["metrics"]["counters"]["repro_requests_total"]["values"]
         assert stats["config"]["trace_sample_rate"] == 0.5
         assert stats["batcher"]["requests"] == 1
+        assert stats["pool"]["checkpoint_bytes"] is None  # no checkpoint path
 
     def test_traced_request_spans_sum_to_e2e_within_ten_percent(
         self, tiny_citation_dataset, bundle_path, tmp_path

@@ -205,6 +205,163 @@ class TestBundleRoundTrip:
 
 
 # --------------------------------------------------------------------------- #
+# Bundles persist topology, not derived operators
+# --------------------------------------------------------------------------- #
+def _plan_operators(plan):
+    """Every propagation operator a compiled plan holds, by name."""
+    if plan.kind == "dhgnn":
+        return {f"layer{index}": op for index, op in enumerate(plan.operators)}
+    named = {f"dynamic{index}": op for index, op in enumerate(plan.dynamic_operators)}
+    named["static"] = plan.static_operator
+    return named
+
+
+def _assert_same_operators(saved, loaded):
+    want, got = _plan_operators(saved.plan), _plan_operators(loaded.plan)
+    assert want.keys() == got.keys()
+    for name, operator in want.items():
+        other = got[name]
+        if operator is None:
+            assert other is None, name
+            continue
+        assert other.dtype == operator.dtype, name
+        for field in ("indptr", "indices", "data"):
+            expected, actual = getattr(operator, field), getattr(other, field)
+            assert actual.dtype == expected.dtype, (name, field)
+            assert actual.tobytes() == expected.tobytes(), (name, field)
+
+
+def _assert_no_operator_members(path):
+    with np.load(path, allow_pickle=False) as archive:
+        assert not [name for name in archive.files if name.startswith("op")]
+
+
+class TestBundleCarriesTopology:
+    def _trainer(self, dataset, model_kind, precision_name):
+        reset_default_engine()
+        if model_kind == "dhgnn":
+            model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
+        else:
+            # "dhgcn-unweighted" keeps a plain static channel, which compact()
+            # shrinks by row/column selection instead of rebuilding it.
+            config = DHGCNConfig(
+                hidden_dim=8, use_edge_weighting=model_kind == "dhgcn"
+            )
+            model = DHGCN(dataset.n_features, dataset.n_classes, config, seed=0)
+        return _train(
+            model, dataset, precision_name=precision_name, backend="incremental"
+        )
+
+    def _churn(self, session, dataset):
+        rng = np.random.default_rng(9)
+        session.insert_nodes(
+            dataset.features[rng.choice(dataset.n_nodes, 3, replace=False)] + 0.02
+        )
+        session.update_features([4, 9], dataset.features[[4, 9]] + 0.1)
+        session.delete_nodes([1, 6])
+        session.compact()
+        session.predict()
+
+    @pytest.mark.parametrize("model_kind", ["dhgnn", "dhgcn", "dhgcn-unweighted"])
+    @pytest.mark.parametrize("precision_name", PRECISIONS)
+    def test_export_rebuilds_identical_operators(
+        self, tiny_citation_dataset, tmp_path, model_kind, precision_name
+    ):
+        dataset = tiny_citation_dataset
+        trainer = self._trainer(dataset, model_kind, precision_name)
+        path = tmp_path / "bundle.npz"
+        frozen = trainer.export_frozen(str(path))
+        _assert_no_operator_members(path)
+        reset_default_engine()
+        loaded = FrozenModel.load(path)
+        _assert_same_operators(frozen, loaded)
+        assert np.array_equal(loaded.logits(), frozen.logits())
+        # Load left the rebuilt operators in the engine cache under the keys
+        # a session's refresh looks up for an unchanged slot topology.
+        engine = loaded.engine
+        misses = engine.stats()["misses"]
+        operators = _plan_operators(loaded.plan)
+        for slot in loaded.plan.slots:
+            name = f"{'layer' if model_kind == 'dhgnn' else 'dynamic'}{slot.position}"
+            operator = engine.refresh_operator(
+                slot.hypergraph, slot.hypergraph, dtype=loaded.dtype
+            )
+            assert operator is operators[name]
+        assert engine.stats()["misses"] == misses
+
+    @pytest.mark.parametrize("model_kind", ["dhgnn", "dhgcn", "dhgcn-unweighted"])
+    @pytest.mark.parametrize("precision_name", PRECISIONS)
+    def test_churned_snapshot_rebuilds_identical_operators(
+        self, tiny_citation_dataset, tmp_path, model_kind, precision_name
+    ):
+        dataset = tiny_citation_dataset
+        trainer = self._trainer(dataset, model_kind, precision_name)
+        session = InferenceSession(trainer.export_frozen(str(tmp_path / "bundle")))
+        self._churn(session, dataset)
+        snapshot = session.to_frozen()
+        path = snapshot.save(tmp_path / "checkpoint")
+        _assert_no_operator_members(path)
+        reset_default_engine()
+        loaded = FrozenModel.load(path)
+        _assert_same_operators(snapshot, loaded)
+        assert np.array_equal(
+            InferenceSession(loaded).predict(output="logits"),
+            session.predict(output="logits"),
+        )
+
+    def test_sharded_snapshot_rebuilds_identical_operators(
+        self, tiny_citation_dataset, tmp_path
+    ):
+        from repro.serving import ShardedSession
+
+        dataset = tiny_citation_dataset
+        trainer = self._trainer(dataset, "dhgnn", "float64")
+        session = ShardedSession(
+            trainer.export_frozen(str(tmp_path / "bundle")), n_shards=3
+        )
+        self._churn(session, dataset)
+        snapshot = session.to_frozen()
+        path = snapshot.save(tmp_path / "sharded")
+        session.close()
+        _assert_no_operator_members(path)
+        reset_default_engine()
+        loaded = FrozenModel.load(path)
+        _assert_same_operators(snapshot, loaded)
+        assert np.array_equal(loaded.logits(), snapshot.logits())
+
+    @pytest.mark.parametrize("model_kind", ["dhgnn", "dhgcn"])
+    def test_v1_bundle_with_operators_still_loads(
+        self, tiny_citation_dataset, tmp_path, model_kind
+    ):
+        # A bundle in the v1 layout (the operators stored beside the
+        # topology) warm-starts exactly like a v2 one: the stored operators
+        # are ignored and rebuilt from the hypergraphs.
+        dataset = tiny_citation_dataset
+        trainer = self._trainer(dataset, model_kind, "float64")
+        frozen = trainer.export_frozen(str(tmp_path / "bundle"))
+        store = OperatorStore.load(tmp_path / "bundle.npz")
+        store.meta["format"] = "repro-serving-bundle/v1"
+        plan = frozen.plan
+        if model_kind == "dhgnn":
+            for index, operator in enumerate(plan.operators):
+                store.put_operator(("layer", index), operator)
+        else:
+            store.put_operator(("static",), plan.static_operator)
+            for index, operator in enumerate(plan.dynamic_operators):
+                store.put_operator(("dynamic", index), operator)
+        v1 = store.save(tmp_path / "v1.npz")
+        with np.load(v1, allow_pickle=False) as archive:
+            assert any(name.startswith("op") for name in archive.files)
+        reset_default_engine()
+        loaded = FrozenModel.load(v1)
+        _assert_same_operators(frozen, loaded)
+        session = InferenceSession(loaded)
+        DISTANCE_COUNTERS.reset()
+        assert np.array_equal(session.predict(output="logits"), frozen.logits())
+        assert DISTANCE_COUNTERS.pairs == 0
+
+
+# --------------------------------------------------------------------------- #
 # Online insertion and feature updates
 # --------------------------------------------------------------------------- #
 class TestOnlineChurn:

@@ -55,6 +55,7 @@ from repro.serving.server import (
     ServerOverloadedError,
     ServingServer,
     SessionPool,
+    WRITER_NICE,
 )
 
 
@@ -73,6 +74,12 @@ def bundle_path(tiny_citation_dataset, tmp_path_factory):
     path = tmp_path_factory.mktemp("serving_server") / "bundle.npz"
     trainer.export_frozen(str(path))
     return path
+
+
+def _thread_nice(tid):
+    """Nice value of one thread of this process, from ``/proc``."""
+    with open(f"/proc/{os.getpid()}/task/{tid}/stat") as handle:
+        return int(handle.read().rsplit(")", 1)[1].split()[16])
 
 
 def _new_rows(dataset, count, seed=5):
@@ -440,6 +447,28 @@ class TestServingServerHTTP:
                 await server.shutdown()
 
         return asyncio.run(run())
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="thread nice values are Linux-only"
+    )
+    def test_write_worker_runs_below_the_event_loop(
+        self, tiny_citation_dataset, bundle_path
+    ):
+        dataset = tiny_citation_dataset
+        loop_nice = os.nice(0)
+
+        async def scenario(server, client):
+            status, _ = await client.request(
+                "POST", "/update",
+                {"nodes": [2], "features": dataset.features[[2]].tolist()},
+            )
+            assert status == 200
+            workers = [thread.native_id for thread in server._executor._threads]
+            return os.nice(0), [_thread_nice(tid) for tid in workers]
+
+        after, workers = self._serve(bundle_path, scenario)
+        assert after == loop_nice
+        assert workers == [max(loop_nice, WRITER_NICE)]
 
     def test_health_stats_and_predict(self, bundle_path):
         direct = InferenceSession(FrozenModel.load(bundle_path))
