@@ -68,10 +68,12 @@ def _models():
     # DHGCN runs with an effectively infinite refresh period: the timed
     # epochs then measure the dual-channel convolution itself rather than
     # the float64 structural rebuild (see module docstring).  Cluster
-    # hyperedges are disabled because their size — and therefore the dynamic
-    # operator's nnz — depends on the embedding trajectory, which diverges
-    # between precisions; k-NN hyperedges keep the two topologies the same
-    # size so the timing compares equal work.
+    # hyperedges stay disabled so entries remain comparable along the
+    # trajectory.  They were disabled because a materialised operator's nnz
+    # grows with the square of each cluster's size, which follows the
+    # embedding trajectory and so differed between precisions.  The factored
+    # operator holds one entry per membership, and k-means partitions the
+    # nodes, so clusters would now add exactly n entries in both precisions.
     return {
         "GCN": lambda ds: GCN(ds.n_features, ds.n_classes, seed=0),
         "HGNN": lambda ds: HGNN(ds.n_features, ds.n_classes, seed=0),
@@ -110,7 +112,7 @@ def run_one(model_name: str, precision_name: str) -> dict:
         optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
 
         # Warm-up epoch: builds dynamic operators, fills the operator cache
-        # and the spmm transpose cache.
+        # and (for GCN's CSR operator) the spmm transpose cache.
         _train_epoch(model, optimizer, features, dataset.labels, dataset.split.train, 0)
 
         profiler = OpProfiler()

@@ -69,7 +69,8 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     static_operator = hypergraph_propagation_operator(dataset.hypergraph)
     print(f"\nstatic propagation operator: shape={static_operator.shape}, "
-          f"nnz={static_operator.nnz}")
+          f"factor nnz={static_operator.factor.nnz} "
+          f"(materialised nnz={static_operator.tocsr().nnz})")
 
     builder = DynamicHypergraphBuilder(k_neighbors=4, n_clusters=6, seed=0)
     dynamic = builder.build_hypergraph(dataset.features)

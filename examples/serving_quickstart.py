@@ -7,8 +7,8 @@ Run with::
 The script walks the full serving workflow of :mod:`repro.serving`:
 
 1. train a DHGNN with the incremental neighbour backend;
-2. export a one-file serving bundle (weights + resolved propagation
-   operators + incremental neighbour state);
+2. export a one-file serving bundle (weights + topology + incremental
+   neighbour state; load rebuilds the propagation operators);
 3. warm-start an :class:`~repro.serving.InferenceSession` from the bundle —
    the first prediction performs **zero** k-NN distance computations;
 4. serve batched queries (labels, logits, embeddings) from one shared

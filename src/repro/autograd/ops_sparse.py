@@ -8,15 +8,19 @@ treats it as a constant and back-propagates through the dense operand only:
 
     Y = S X        =>        dL/dX = Sᵀ dL/dY
 
-Two hot-path details:
+Three kinds of operator come through here:
 
-* the operator is normalised to CSR once at call time, so every forward is a
-  CSR matvec rather than an implicit format conversion per step;
-* the backward rule needs ``Sᵀ`` in CSR form, and materialising that
-  transpose costs as much as the product itself.  Since the *same* operator
-  object is reused across training steps (the refresh engine caches them),
-  the transpose is memoised per operator object in :data:`_TRANSPOSE_CACHE`
-  and only rebuilt when the operator actually changes.
+* the hypergraph operator (:class:`repro.hypergraph.HypergraphOperator`),
+  kept factored as ``L · diag(c) · Lᵀ``.  It is symmetric, so its ``.T`` is
+  itself and the backward pass is the forward product again;
+* scipy sparse matrices, normalised to CSR once at call time so every
+  forward is a CSR matvec rather than an implicit format conversion per
+  step.  Their backward needs ``Sᵀ`` in CSR form, and materialising that
+  transpose costs as much as the product itself; since the *same* operator
+  object is reused across training steps, the transpose is memoised per
+  operator object in :data:`_TRANSPOSE_CACHE`.  Only non-symmetric sparse
+  operators need it, such as HGNN+'s gather and scatter matrices;
+* dense arrays, whose ``.T`` is a free view.
 """
 
 from __future__ import annotations
@@ -91,18 +95,13 @@ class SparseMatMul(Function):
                 f"operator shape {operator.shape} incompatible with features {x.shape}"
             )
         ctx.extras["operator"] = operator
-        result = operator @ x
-        if sp.issparse(result):
-            result = result.toarray()
-        return np.asarray(result, dtype=x.dtype)
+        return np.asarray(operator @ x, dtype=x.dtype)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         operator = ctx.extras["operator"]
         if sp.issparse(operator):
             grad_x = _transposed(operator) @ grad
-            if sp.issparse(grad_x):
-                grad_x = grad_x.toarray()
         else:
             grad_x = operator.T @ grad
         return (np.asarray(grad_x, dtype=grad.dtype), None)
@@ -114,9 +113,12 @@ def spmm(operator: Any, x: Any) -> Tensor:
     Parameters
     ----------
     operator:
-        ``(m, n)`` scipy sparse matrix or numpy array.  Treated as a constant:
-        no gradient is computed for it.  Sparse operators are normalised to
-        CSR here, once, so the repeated products stay format-conversion free.
+        ``(m, n)`` scipy sparse matrix, numpy array, or any constant linear
+        operator with ``shape``, ``@`` and ``.T`` (such as the factored
+        :class:`~repro.hypergraph.HypergraphOperator`).  Treated as a
+        constant: no gradient is computed for it.  Sparse operators are
+        normalised to CSR here, once, so the repeated products stay
+        format-conversion free.
     x:
         ``(n, d)`` dense :class:`Tensor` (or array) carrying gradients.
 
@@ -128,7 +130,7 @@ def spmm(operator: Any, x: Any) -> Tensor:
     if sp.issparse(operator):
         if operator.format != "csr":
             operator = operator.tocsr()
-    elif not isinstance(operator, np.ndarray):
+    elif not hasattr(operator, "__matmul__"):
         operator = np.asarray(operator, dtype=resolve_dtype())
     if isinstance(operator, np.ndarray) and operator.ndim != 2:
         raise ShapeError(f"operator must be 2-D, got shape {operator.shape}")

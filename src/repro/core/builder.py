@@ -5,12 +5,11 @@ from __future__ import annotations
 from typing import Hashable
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ConfigurationError
 from repro.hypergraph.construction import kmeans_hyperedges, knn_hyperedges, union_hypergraphs
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.laplacian import compactness_hyperedge_weights
+from repro.hypergraph.laplacian import HypergraphOperator, compactness_hyperedge_weights
 from repro.hypergraph.refresh import TopologyRefreshEngine, get_default_engine
 from repro.utils.rng import as_rng
 
@@ -110,7 +109,7 @@ class DynamicHypergraphBuilder:
         self.build_count += 1
         return hypergraph
 
-    def build_operator(self, embedding: np.ndarray, *, slot: Hashable = None) -> sp.csr_matrix:
+    def build_operator(self, embedding: np.ndarray, *, slot: Hashable = None) -> HypergraphOperator:
         """Construct the normalised propagation operator of the dynamic hypergraph.
 
         A refresh that changed the structure invalidates the superseded

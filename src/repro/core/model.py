@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.core.builder import DynamicHypergraphBuilder
@@ -11,7 +10,7 @@ from repro.core.config import DHGCNConfig
 from repro.core.layers import DualChannelBlock
 from repro.data.dataset import NodeClassificationDataset
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.laplacian import compactness_hyperedge_weights
+from repro.hypergraph.laplacian import HypergraphOperator, compactness_hyperedge_weights
 from repro.hypergraph.refresh import TopologyRefreshEngine
 from repro.models.base import BaseNodeClassifier
 from repro.nn import Dropout
@@ -98,8 +97,8 @@ class DHGCN(BaseNodeClassifier):
 
         self._static_hypergraph: Hypergraph | None = None
         self._reweighted_static: Hypergraph | None = None
-        self._static_operator: sp.csr_matrix | None = None
-        self._dynamic_operators: list[sp.csr_matrix | None] = [None] * self.config.n_layers
+        self._static_operator: HypergraphOperator | None = None
+        self._dynamic_operators: list[HypergraphOperator | None] = [None] * self.config.n_layers
         self._block_inputs: list[np.ndarray | None] = [None] * self.config.n_layers
         self._needs_refresh = True
 

@@ -35,7 +35,11 @@ from repro.hypergraph.knn import (
     knn_query_rows,
     pairwise_distances,
 )
-from repro.hypergraph.laplacian import hypergraph_laplacian, hypergraph_propagation_operator
+from repro.hypergraph.laplacian import (
+    HypergraphOperator,
+    hypergraph_laplacian,
+    hypergraph_propagation_operator,
+)
 from repro.hypergraph.metrics import hyperedge_homophily, hypergraph_statistics
 from repro.hypergraph.neighbors import (
     ExactBackend,
@@ -59,6 +63,7 @@ from repro.hypergraph.sharding import ShardedBackend, ShardMap, make_shard_map
 
 __all__ = [
     "Hypergraph",
+    "HypergraphOperator",
     "hypergraph_propagation_operator",
     "hypergraph_laplacian",
     "OperatorCache",

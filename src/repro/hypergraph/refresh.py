@@ -4,8 +4,8 @@ The dynamic-topology models (DHGCN, DHGNN) rebuild a hypergraph and its
 normalised propagation operator every ``refresh_period`` epochs.  Whenever the
 hypergraph is structurally unchanged — repeated forward passes between
 refreshes, the static channel across a multi-seed sweep, eval after training —
-that sparse pipeline (degree computation, four diagonal/sparse products,
-CSR conversion) is pure waste.
+that pipeline (incidence and degree computation, the factor ``L`` and its
+transpose) is pure waste.
 
 :class:`OperatorCache` memoises ``hypergraph_propagation_operator`` /
 ``hypergraph_laplacian`` results behind :meth:`Hypergraph.fingerprint`, an
@@ -25,9 +25,9 @@ Invalidation rules
 * :meth:`OperatorCache.invalidate` drops everything (used between unrelated
   experiments and by tests).
 
-Cached matrices are shared, not copied — propagation operators are constants
-to the autograd layer (:mod:`repro.autograd.ops_sparse`) and must not be
-mutated by callers.
+Cached operators are shared, not copied — propagation operators are
+immutable constants to the autograd layer (:mod:`repro.autograd.ops_sparse`);
+their arrays are read-only.
 """
 
 from __future__ import annotations
@@ -41,7 +41,11 @@ import scipy.sparse as sp
 
 from repro.errors import ConfigurationError
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.laplacian import hypergraph_laplacian, hypergraph_propagation_operator
+from repro.hypergraph.laplacian import (
+    HypergraphOperator,
+    hypergraph_laplacian,
+    hypergraph_propagation_operator,
+)
 from repro.hypergraph.neighbors import NeighborBackend, resolve_backend
 from repro.obs.tracing import span
 from repro.precision import resolve_dtype
@@ -56,8 +60,14 @@ DEFAULT_CACHE_SIZE = 128
 DEFAULT_NEIGHBOR_ENTRIES = 32
 
 
-def _operator_nbytes(operator: sp.csr_matrix) -> int:
-    """Resident bytes of a CSR operator (data + indices + indptr)."""
+#: A cache entry: a factored propagation operator or a CSR Laplacian.
+CachedOperator = HypergraphOperator | sp.csr_matrix
+
+
+def _operator_nbytes(operator: CachedOperator) -> int:
+    """Resident bytes of a cached operator (every array it holds)."""
+    if isinstance(operator, HypergraphOperator):
+        return operator.nbytes
     return int(operator.data.nbytes + operator.indices.nbytes + operator.indptr.nbytes)
 
 
@@ -69,7 +79,8 @@ def _features_digest(features: np.ndarray) -> bytes:
 
 
 class OperatorCache:
-    """LRU cache of sparse operators keyed by hypergraph fingerprint.
+    """LRU cache of propagation operators and Laplacians keyed by
+    hypergraph fingerprint.
 
     Besides the operators the cache keeps a small *neighbour-list memo*:
     ``(n, k)`` k-NN index arrays keyed by a content digest of the query
@@ -83,7 +94,7 @@ class OperatorCache:
     max_entries:
         LRU capacity; the least recently used operator is evicted beyond it.
     max_bytes:
-        Optional byte budget over the resident CSR arrays.  A long-lived
+        Optional byte budget over the resident operator arrays.  A long-lived
         server bounded only by entry *count* could still pin arbitrarily much
         memory (operator size grows with the topology); with ``max_bytes``
         set, least-recently-used operators are evicted until the budget holds
@@ -114,7 +125,7 @@ class OperatorCache:
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         self.max_neighbor_entries = int(max_neighbor_entries)
         self.enabled = bool(enabled)
-        self._entries: OrderedDict[tuple, sp.csr_matrix] = OrderedDict()
+        self._entries: OrderedDict[tuple, CachedOperator] = OrderedDict()
         self._bytes = 0
         self._neighbor_entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self.hits = 0
@@ -136,7 +147,7 @@ class OperatorCache:
             self._bytes -= _operator_nbytes(evicted)
             self.evictions += 1
 
-    def _get(self, hypergraph: Hypergraph, kind: Hashable, build) -> sp.csr_matrix:
+    def _get(self, hypergraph: Hypergraph, kind: Hashable, build) -> CachedOperator:
         if not self.enabled:
             self.misses += 1
             return build(hypergraph)
@@ -212,7 +223,7 @@ class OperatorCache:
         self_loop_isolated: bool = True,
         dtype: np.dtype | str | None = None,
         context: Hashable = None,
-    ) -> sp.csr_matrix:
+    ) -> HypergraphOperator:
         """Cached ``Dv^-1/2 H W De^-1 Hᵀ Dv^-1/2`` (see :mod:`..laplacian`).
 
         The cache key includes the storage dtype (resolved from the precision
@@ -290,20 +301,18 @@ class OperatorCache:
         }
 
     # ------------------------------------------------------------------ #
-    # Persistence hooks (see :class:`repro.serving.OperatorStore`)
+    # Seeding (session forks share their parent's built operators)
     # ------------------------------------------------------------------ #
-    def export_entries(self) -> dict[tuple, sp.csr_matrix]:
+    def export_entries(self) -> dict[tuple, CachedOperator]:
         """Snapshot of the cached operators, most recently used last.
 
-        Keys are the internal ``(kind, fingerprint)`` tuples — plain nested
-        tuples of builtins, process-stable since the fingerprint hashes are
-        (see :meth:`Hypergraph.fingerprint`), which is what makes them
-        serialisable by the operator store.
+        Keys are the internal ``(kind, fingerprint)`` tuples; the operators
+        are shared, not copied (they are immutable).
         """
         return dict(self._entries)
 
-    def seed_entries(self, entries: Mapping[tuple, sp.csr_matrix]) -> int:
-        """Install externally persisted entries (oldest-first, LRU applies).
+    def seed_entries(self, entries: Mapping[tuple, CachedOperator]) -> int:
+        """Install entries exported by another cache (oldest-first, LRU applies).
 
         Entries are treated exactly like freshly built operators: they count
         toward both budgets and may evict (or immediately be evicted by) the
@@ -420,7 +429,7 @@ class TopologyRefreshEngine:
         *,
         self_loop_isolated: bool = True,
         dtype: np.dtype | str | None = None,
-    ) -> sp.csr_matrix:
+    ) -> HypergraphOperator:
         """Cached operator for a *backend-independent* topology (static
         hypergraphs, eval passes) — shared across engines regardless of their
         neighbour backend, since the operator is a pure function of the
@@ -437,7 +446,7 @@ class TopologyRefreshEngine:
         *,
         self_loop_isolated: bool = True,
         dtype: np.dtype | str | None = None,
-    ) -> sp.csr_matrix:
+    ) -> HypergraphOperator:
         """Operator of a refreshed topology, invalidating the superseded one.
 
         The single home of the supersede protocol: ``previous``'s cache

@@ -12,7 +12,6 @@ baseline for isolating those contributions.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.autograd.ops_sparse import spmm
 from repro.autograd.tensor import Tensor, as_tensor
@@ -20,6 +19,7 @@ from repro.data.dataset import NodeClassificationDataset
 from repro.errors import ConfigurationError
 from repro.hypergraph.construction import kmeans_hyperedges, knn_hyperedges, union_hypergraphs
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.laplacian import HypergraphOperator
 from repro.hypergraph.refresh import TopologyRefreshEngine
 from repro.models.base import BaseNodeClassifier
 from repro.nn import Dropout, Linear
@@ -97,7 +97,7 @@ class DHGNN(BaseNodeClassifier):
         )
         self._construction_rng = as_rng(seed)
         self._static_hypergraph = None
-        self._operators: list[sp.csr_matrix | None] = [None] * n_layers
+        self._operators: list[HypergraphOperator | None] = [None] * n_layers
         self._layer_hypergraphs: list[Hypergraph | None] = [None] * n_layers
         self._layer_inputs: list[np.ndarray | None] = [None] * n_layers
         self._needs_refresh = True
@@ -117,7 +117,7 @@ class DHGNN(BaseNodeClassifier):
         if epoch % self.refresh_period == 0:
             self._needs_refresh = True
 
-    def _build_operator(self, embedding: np.ndarray, position: int) -> sp.csr_matrix:
+    def _build_operator(self, embedding: np.ndarray, position: int) -> HypergraphOperator:
         k = min(self.k_neighbors, embedding.shape[0] - 1)
         clusters = min(self.n_clusters, embedding.shape[0])
         # The engine route memoises neighbour lists by embedding content, so

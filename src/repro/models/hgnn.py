@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import scipy.sparse as sp
-
 from repro.autograd.ops_sparse import spmm
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.data.dataset import NodeClassificationDataset
 from repro.errors import ConfigurationError
-from repro.hypergraph.laplacian import hypergraph_propagation_operator
+from repro.hypergraph.laplacian import HypergraphOperator, hypergraph_propagation_operator
 from repro.models.base import BaseNodeClassifier
 from repro.nn import Dropout, Linear
 from repro.nn.container import ModuleList
@@ -43,7 +41,7 @@ class HGNN(BaseNodeClassifier):
             Linear(dims[i], dims[i + 1], seed=rngs[i]) for i in range(n_layers)
         )
         self.dropout = Dropout(dropout, seed=seed)
-        self._operator: sp.csr_matrix | None = None
+        self._operator: HypergraphOperator | None = None
 
     def _setup(self, dataset: NodeClassificationDataset) -> None:
         self._operator = hypergraph_propagation_operator(dataset.hypergraph)

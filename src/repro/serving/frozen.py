@@ -1,7 +1,7 @@
 """Frozen-model compilation: a no-grad, policy-dtype inference path.
 
 :class:`FrozenModel` compiles a trained model into a *plan* — plain numpy
-arrays (weights, gates) plus the already-resolved sparse propagation
+arrays (weights, gates) plus the already-resolved (factored) propagation
 operators — whose forward pass performs exactly the arithmetic of the
 module's evaluation forward, in the same order, but with no tensor wrappers,
 no autograd bookkeeping, no dropout modules and no topology code on the hot
@@ -37,11 +37,11 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.autograd.tensor import Tensor, no_grad
 from repro.errors import ConfigurationError
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.laplacian import HypergraphOperator
 from repro.hypergraph.neighbors import (
     ExactBackend,
     IncrementalBackend,
@@ -206,7 +206,7 @@ class _DHGNNPlan:
     def __init__(
         self,
         weights: list[tuple[np.ndarray, np.ndarray | None]],
-        operators: list[sp.csr_matrix],
+        operators: list[HypergraphOperator],
         slots: list[TopologySlot],
     ) -> None:
         self.weights = weights
@@ -223,7 +223,7 @@ class _DHGNNPlan:
             self.weights, list(self.operators), [slot.clone() for slot in self.slots]
         )
 
-    def set_operator(self, position: int, operator: sp.csr_matrix) -> None:
+    def set_operator(self, position: int, operator: HypergraphOperator) -> None:
         self.operators[position] = operator
 
     def apply_layer(self, position: int, hidden: np.ndarray) -> np.ndarray:
@@ -231,10 +231,7 @@ class _DHGNNPlan:
         out = hidden @ weight
         if bias is not None:
             out = out + bias
-        result = self.operators[position] @ out
-        if sp.issparse(result):  # pragma: no cover - operators are CSR
-            result = result.toarray()
-        result = np.asarray(result, dtype=hidden.dtype)
+        result = np.asarray(self.operators[position] @ out, dtype=hidden.dtype)
         if position < self.n_layers - 1:
             # relu exactly as the autograd op computes it: ``a * (a > 0)``
             # (keeps the same signed zeros, hence bit-identical activations).
@@ -259,8 +256,8 @@ class _DHGCNPlan:
     def __init__(
         self,
         blocks: list[dict[str, Any]],
-        static_operator: sp.csr_matrix | None,
-        dynamic_operators: list[sp.csr_matrix | None],
+        static_operator: HypergraphOperator | None,
+        dynamic_operators: list[HypergraphOperator | None],
         slots: list[TopologySlot],
         *,
         static_hypergraph: Hypergraph | None,
@@ -294,12 +291,12 @@ class _DHGCNPlan:
             weight_temperature=self.weight_temperature,
         )
 
-    def set_operator(self, position: int, operator: sp.csr_matrix) -> None:
+    def set_operator(self, position: int, operator: HypergraphOperator) -> None:
         self.dynamic_operators[position] = operator
 
     def _conv(
         self,
-        operator: sp.csr_matrix,
+        operator: HypergraphOperator,
         hidden: np.ndarray,
         weight: np.ndarray,
         bias: np.ndarray | None,
@@ -307,10 +304,7 @@ class _DHGCNPlan:
         out = hidden @ weight
         if bias is not None:
             out = out + bias
-        result = operator @ out
-        if sp.issparse(result):  # pragma: no cover - operators are CSR
-            result = result.toarray()
-        return np.asarray(result, dtype=hidden.dtype)
+        return np.asarray(operator @ out, dtype=hidden.dtype)
 
     def apply_layer(self, position: int, hidden: np.ndarray) -> np.ndarray:
         block = self.blocks[position]
@@ -735,7 +729,7 @@ class FrozenModel:
                 )
             )
         n_layers = int(meta["n_layers"])
-        slot_operators: list[sp.csr_matrix | None] = [None] * n_layers
+        slot_operators: list[HypergraphOperator | None] = [None] * n_layers
         for slot in slots:
             slot_operators[slot.position] = engine.refresh_operator(
                 None, slot.hypergraph, dtype=dtype

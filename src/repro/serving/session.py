@@ -622,10 +622,10 @@ class InferenceSession:
         plan = self.plan
 
         def shrink(operator):
-            # Pure row/column selection: deleted rows are isolated self-loops
-            # by now, so the surviving block is value-identical to an
-            # operator built over the compacted hypergraph.
-            return None if operator is None else operator[alive][:, alive].tocsr()
+            # A row selection of the factor: deleted rows are isolated
+            # self-loops by now, so the surviving block is bit-identical to
+            # an operator built over the compacted hypergraph.
+            return None if operator is None else operator.restrict(alive)
 
         if isinstance(plan, _DHGCNPlan):
             plan.dynamic_operators = [shrink(op) for op in plan.dynamic_operators]
@@ -775,7 +775,7 @@ class InferenceSession:
         Unlike ``InferenceSession(self.to_frozen())`` this works mid-lifecycle
         — tombstones, pending movers and the cached forward all carry over —
         and costs one feature-matrix copy plus a plan clone (the refreshed
-        CSR operators and weights are immutable and stay shared).  A freshly
+        operators and weights are immutable and stay shared).  A freshly
         refreshed parent therefore forks a session that answers immediately,
         without re-running a forward (a what-if branch of a live session, or
         a second writer over the same state).  The fork follows the same

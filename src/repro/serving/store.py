@@ -3,34 +3,22 @@
 :class:`OperatorStore` is a single-file (``.npz``) container for everything a
 serving process needs to start *warm*:
 
-* **keyed sparse operators** — entries of a
-  :class:`repro.hypergraph.refresh.OperatorCache` (or any other
-  tuple-of-builtins-keyed CSR matrices).  Keys round-trip through ``repr`` /
-  ``ast.literal_eval`` and stay valid across processes because
-  :meth:`Hypergraph.fingerprint` uses process-stable hashes;
 * **named array groups** — dense state (model weights, feature matrices,
   serialised hypergraphs, incremental-backend states);
 * **JSON metadata** — plan configuration, precision, provenance.
 
-Two workflows build on it:
-
-* repeated sweeps: ``OperatorStore.from_cache(engine.cache).save(path)`` at
-  the end of a run, ``store.install_into(engine.cache)`` at the start of the
-  next process — structurally identical topologies then hit instead of
-  rebuilding their sparse pipelines;
-* serving: :meth:`repro.serving.FrozenModel.save` /
-  :meth:`~repro.serving.FrozenModel.load` bundle the compiled plan through a
-  store, so a server restart performs **zero** k-NN distance computations
-  before its first prediction (asserted via
-  :data:`repro.hypergraph.knn.DISTANCE_COUNTERS`).  A serving bundle uses
-  array groups and metadata only: it stores the topology (hypergraphs,
-  cluster memberships, neighbour state), and load rebuilds the propagation
-  operators from it.
+:meth:`repro.serving.FrozenModel.save` / :meth:`~repro.serving.FrozenModel.load`
+bundle the compiled plan through a store, so a server restart performs
+**zero** k-NN distance computations before its first prediction (asserted
+via :data:`repro.hypergraph.knn.DISTANCE_COUNTERS`).  A bundle stores the
+topology (hypergraphs, cluster memberships, neighbour state), and load
+rebuilds the propagation operators from it.  Archives of older builds that
+also stored operators (``op*`` members) still load; those members are
+skipped.
 """
 
 from __future__ import annotations
 
-import ast
 import json
 import os
 import time
@@ -38,18 +26,15 @@ from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.precision import resolve_dtype
 
 from repro.errors import ConfigurationError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.neighbors import IncrementalBackend, NeighborBackend
-from repro.hypergraph.refresh import OperatorCache
 from repro.hypergraph.sharding import ShardedBackend
 from repro.obs.metrics import get_registry
 from repro.serving.faults import declare_fault_point, fault_point
-from repro.utils.io import pack_csr, unpack_csr
 
 #: Format tag written into every archive (bump on incompatible layout change).
 STORE_FORMAT = "repro-operator-store/v1"
@@ -85,44 +70,17 @@ def unpack_hypergraph(arrays: Mapping[str, np.ndarray], prefix: str = "") -> Hyp
     )
 
 
-def _validate_key_literal(key: tuple) -> str:
-    """``repr`` of a key after checking it survives ``ast.literal_eval``."""
-    text = repr(key)
-    try:
-        parsed = ast.literal_eval(text)
-    except (ValueError, SyntaxError) as error:  # pragma: no cover - defensive
-        raise ConfigurationError(f"operator key {key!r} is not serialisable") from error
-    if parsed != key:
-        raise ConfigurationError(f"operator key {key!r} does not round-trip through repr")
-    return text
-
-
 class OperatorStore:
-    """In-memory collection of keyed operators, array groups and metadata.
+    """In-memory collection of array groups and metadata.
 
     The store itself is format-agnostic state plus :meth:`save` /
-    :meth:`load`; the cache and backend bridges are thin adapters so the
-    persistence layer stays independent of what is being persisted.
+    :meth:`load`; the backend bridge is a thin adapter so the persistence
+    layer stays independent of what is being persisted.
     """
 
     def __init__(self) -> None:
-        self._operators: dict[tuple, sp.csr_matrix] = {}
         self._groups: dict[str, dict[str, np.ndarray]] = {}
         self.meta: dict[str, Any] = {}
-
-    # ------------------------------------------------------------------ #
-    # Keyed operators
-    # ------------------------------------------------------------------ #
-    def put_operator(self, key: tuple, matrix: sp.spmatrix) -> None:
-        """Store ``matrix`` (as CSR) under ``key``.
-
-        Raises :class:`~repro.errors.ConfigurationError` for a non-tuple or
-        non-round-tripping key — keys are persisted as ``repr`` literals.
-        """
-        if not isinstance(key, tuple):
-            raise ConfigurationError(f"operator keys must be tuples, got {type(key)!r}")
-        _validate_key_literal(key)
-        self._operators[key] = matrix.tocsr()
 
     # ------------------------------------------------------------------ #
     # Array groups
@@ -167,16 +125,11 @@ class OperatorStore:
             path = path.with_suffix(path.suffix + ".npz")
         path.parent.mkdir(parents=True, exist_ok=True)
         arrays: dict[str, np.ndarray] = {}
-        operator_keys: list[str] = []
-        for index, (key, matrix) in enumerate(self._operators.items()):
-            operator_keys.append(_validate_key_literal(key))
-            arrays.update(pack_csr(matrix, prefix=f"op{index}:"))
         for name, group in self._groups.items():
             for array_name, value in group.items():
                 arrays[f"g:{name}:{array_name}"] = value
         manifest = {
             "format": STORE_FORMAT,
-            "operator_keys": operator_keys,
             "groups": sorted(self._groups),
             "meta": self.meta,
         }
@@ -222,9 +175,8 @@ class OperatorStore:
                     f"unsupported operator-store format {manifest.get('format')!r}"
                 )
             store.meta = manifest.get("meta", {})
-            for index, key_text in enumerate(manifest["operator_keys"]):
-                key = ast.literal_eval(key_text)
-                store._operators[key] = unpack_csr(archive, prefix=f"op{index}:")
+            # Only the listed groups are read: the ``op*`` members of older
+            # archives are skipped.
             for name in manifest["groups"]:
                 prefix = f"g:{name}:"
                 store._groups[name] = {
@@ -233,26 +185,6 @@ class OperatorStore:
                     if file.startswith(prefix)
                 }
         return store
-
-    # ------------------------------------------------------------------ #
-    # Operator-cache bridge
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_cache(cls, cache: OperatorCache) -> "OperatorStore":
-        """Snapshot every entry of an :class:`OperatorCache`."""
-        store = cls()
-        for key, operator in cache.export_entries().items():
-            store.put_operator(key, operator)
-        store.meta["source"] = "operator-cache"
-        return store
-
-    def install_into(self, cache: OperatorCache) -> int:
-        """Seed an :class:`OperatorCache` with every stored operator.
-
-        Returns the number of entries installed; the cache's LRU / byte
-        budgets apply as if the operators had just been built.
-        """
-        return cache.seed_entries(self._operators)
 
     # ------------------------------------------------------------------ #
     # Neighbour-backend bridge
@@ -360,7 +292,4 @@ class OperatorStore:
         return 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"OperatorStore(operators={len(self._operators)}, "
-            f"groups={len(self._groups)})"
-        )
+        return f"OperatorStore(groups={len(self._groups)})"

@@ -7,7 +7,6 @@ from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def save_json(path: str | Path, payload: Mapping[str, Any]) -> Path:
@@ -39,34 +38,6 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
     """Load an ``.npz`` archive back into a plain dictionary."""
     with np.load(Path(path)) as archive:
         return {key: archive[key] for key in archive.files}
-
-
-def pack_csr(matrix: sp.spmatrix, prefix: str = "") -> dict[str, np.ndarray]:
-    """Flatten a CSR matrix into named arrays for ``np.savez`` archives.
-
-    The inverse of :func:`unpack_csr`; ``prefix`` namespaces the four arrays
-    so several matrices can share one archive.
-    """
-    csr = matrix.tocsr()
-    return {
-        f"{prefix}data": csr.data,
-        f"{prefix}indices": csr.indices,
-        f"{prefix}indptr": csr.indptr,
-        f"{prefix}shape": np.asarray(csr.shape, dtype=np.int64),
-    }
-
-
-def unpack_csr(arrays: Mapping[str, np.ndarray], prefix: str = "") -> sp.csr_matrix:
-    """Rebuild a CSR matrix from arrays written by :func:`pack_csr`."""
-    shape = tuple(int(v) for v in arrays[f"{prefix}shape"])
-    return sp.csr_matrix(
-        (
-            arrays[f"{prefix}data"],
-            arrays[f"{prefix}indices"],
-            arrays[f"{prefix}indptr"],
-        ),
-        shape=shape,
-    )
 
 
 def _to_builtin(value: Any) -> Any:

@@ -136,7 +136,8 @@ class TestSpecificBehaviour:
             dataset.n_features, dataset.n_classes, refresh_period=2, k_neighbors=3, n_clusters=3, seed=0
         ).setup(dataset)
         model(Tensor(dataset.features))
-        operators_after_first = [op.copy() for op in model._operators]
+        # Operators are immutable, so holding the references snapshots them.
+        operators_after_first = list(model._operators)
         model.on_epoch(1)  # 1 % 2 != 0 -> no refresh scheduled
         model(Tensor(dataset.features))
         assert all(

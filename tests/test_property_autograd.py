@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) for the autograd engine."""
 
 import numpy as np
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -9,8 +8,13 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from repro.autograd import Tensor, check_gradients
 from repro.autograd.function import unbroadcast
 from repro.autograd.ops_activation import log_softmax, softmax
-from repro.autograd.ops_sparse import spmm
-from repro.hypergraph import Hypergraph, OperatorCache, hypergraph_propagation_operator
+from repro.autograd.ops_sparse import _TRANSPOSE_CACHE, spmm
+from repro.hypergraph import (
+    Hypergraph,
+    HypergraphOperator,
+    OperatorCache,
+    hypergraph_propagation_operator,
+)
 
 _FINITE_FLOATS = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 
@@ -103,8 +107,9 @@ def test_backward_of_sum_is_ones(data):
 # --------------------------------------------------------------------------- #
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
 @settings(max_examples=15, deadline=None)
-def test_spmm_gradient_against_cached_csr_operator(seed, d):
-    """The backward rule must hold for an operator served from the cache."""
+def test_spmm_gradient_against_cached_operator(seed, d):
+    """The backward rule must hold for a factored operator served from the
+    cache, which backs its transpose with the forward product."""
     rng = np.random.default_rng(seed)
     hypergraph = Hypergraph(
         6, [[0, 1, 2], [2, 3], [3, 4, 5], [0, 5]], weights=rng.uniform(0.5, 2.0, 4)
@@ -112,9 +117,11 @@ def test_spmm_gradient_against_cached_csr_operator(seed, d):
     cache = OperatorCache()
     cache.propagation_operator(hypergraph)  # warm
     operator = cache.propagation_operator(hypergraph)  # cache hit
-    assert sp.issparse(operator)
+    assert isinstance(operator, HypergraphOperator)
+    assert operator.T is operator
     x = Tensor(rng.normal(size=(6, d)), requires_grad=True)
     check_gradients(lambda t: (spmm(operator, t) * spmm(operator, t)).sum(), [x], atol=1e-4, rtol=1e-3)
+    assert id(operator) not in _TRANSPOSE_CACHE
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -23,6 +23,7 @@ The load-bearing guarantees pinned here:
   the cross-process stability of hypergraph fingerprints.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -216,6 +217,17 @@ def _plan_operators(plan):
     return named
 
 
+def _factor_arrays(operator):
+    """The arrays that define a factored operator ``L diag(c) Lᵀ``."""
+    factor = operator.factor
+    return {
+        "indptr": factor.indptr,
+        "indices": factor.indices,
+        "data": factor.data,
+        "scale": operator.scale,
+    }
+
+
 def _assert_same_operators(saved, loaded):
     want, got = _plan_operators(saved.plan), _plan_operators(loaded.plan)
     assert want.keys() == got.keys()
@@ -225,8 +237,10 @@ def _assert_same_operators(saved, loaded):
             assert other is None, name
             continue
         assert other.dtype == operator.dtype, name
-        for field in ("indptr", "indices", "data"):
-            expected, actual = getattr(operator, field), getattr(other, field)
+        assert other.factor.shape == operator.factor.shape, name
+        expected_arrays, actual_arrays = _factor_arrays(operator), _factor_arrays(other)
+        for field, expected in expected_arrays.items():
+            actual = actual_arrays[field]
             assert actual.dtype == expected.dtype, (name, field)
             assert actual.tobytes() == expected.tobytes(), (name, field)
 
@@ -333,23 +347,29 @@ class TestBundleCarriesTopology:
     def test_v1_bundle_with_operators_still_loads(
         self, tiny_citation_dataset, tmp_path, model_kind
     ):
-        # A bundle in the v1 layout (the operators stored beside the
-        # topology) warm-starts exactly like a v2 one: the stored operators
-        # are ignored and rebuilt from the hypergraphs.
+        # A bundle in the v1 layout (the materialised operators stored
+        # beside the topology as keyed CSR members) warm-starts exactly like
+        # a v2 one: the stored operators are skipped and rebuilt from the
+        # hypergraphs.
         dataset = tiny_citation_dataset
         trainer = self._trainer(dataset, model_kind, "float64")
         frozen = trainer.export_frozen(str(tmp_path / "bundle"))
-        store = OperatorStore.load(tmp_path / "bundle.npz")
-        store.meta["format"] = "repro-serving-bundle/v1"
-        plan = frozen.plan
-        if model_kind == "dhgnn":
-            for index, operator in enumerate(plan.operators):
-                store.put_operator(("layer", index), operator)
-        else:
-            store.put_operator(("static",), plan.static_operator)
-            for index, operator in enumerate(plan.dynamic_operators):
-                store.put_operator(("dynamic", index), operator)
-        v1 = store.save(tmp_path / "v1.npz")
+        with np.load(tmp_path / "bundle.npz", allow_pickle=False) as archive:
+            members = {name: archive[name] for name in archive.files}
+        manifest = json.loads(str(members["__manifest__"]))
+        manifest["meta"]["format"] = "repro-serving-bundle/v1"
+        manifest["operator_keys"] = []
+        for index, (name, operator) in enumerate(_plan_operators(frozen.plan).items()):
+            csr = operator.tocsr()
+            manifest["operator_keys"].append(repr((name,)))
+            members[f"op{index}:data"] = csr.data
+            members[f"op{index}:indices"] = csr.indices
+            members[f"op{index}:indptr"] = csr.indptr
+            members[f"op{index}:shape"] = np.asarray(csr.shape, dtype=np.int64)
+        members["__manifest__"] = np.asarray(json.dumps(manifest))
+        v1 = tmp_path / "v1.npz"
+        with open(v1, "wb") as handle:
+            np.savez_compressed(handle, **members)
         with np.load(v1, allow_pickle=False) as archive:
             assert any(name.startswith("op") for name in archive.files)
         reset_default_engine()
@@ -1000,26 +1020,9 @@ class TestSessionBugfixes:
 
 
 # --------------------------------------------------------------------------- #
-# OperatorStore and the operator cache bridges
+# OperatorStore: array groups, metadata, atomic saves, backend capture
 # --------------------------------------------------------------------------- #
 class TestOperatorStore:
-    def test_cache_snapshot_round_trip(self, tmp_path):
-        hypergraph = Hypergraph(6, [[0, 1, 2], [2, 3], [3, 4, 5]], [1.0, 2.0, 0.5])
-        cache = OperatorCache()
-        operator = cache.propagation_operator(hypergraph)
-        laplacian = cache.laplacian(hypergraph)
-        path = OperatorStore.from_cache(cache).save(tmp_path / "ops")
-
-        restored_cache = OperatorCache()
-        installed = OperatorStore.load(path).install_into(restored_cache)
-        assert installed == 2
-        before_misses = restored_cache.misses
-        hit_operator = restored_cache.propagation_operator(hypergraph)
-        hit_laplacian = restored_cache.laplacian(hypergraph)
-        assert restored_cache.misses == before_misses  # both were hits
-        assert np.array_equal(hit_operator.toarray(), operator.toarray())
-        assert np.array_equal(hit_laplacian.toarray(), laplacian.toarray())
-
     def test_fingerprints_stable_across_processes(self):
         # The persistence story relies on fingerprints (cache keys) being
         # identical in a different interpreter with a different hash seed.
